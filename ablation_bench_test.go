@@ -1,6 +1,7 @@
 package repro_test
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for the design choices the reproduction makes
+// around the paper (§1 storage hierarchy, §2 WOBT, §3.5 splitting): the
 // buffer pool in front of the magnetic disk, the magnetic page size, the
 // WOBT's fixed node extent, and the TSB-tree's index-split preference.
 

@@ -1,7 +1,7 @@
 package repro_test
 
-// One benchmark per experiment of the paper's evaluation plan (DESIGN.md
-// E1-E9), plus micro-benchmarks of the core operations. The experiment
+// One benchmark per experiment of the paper's evaluation plan (§3.2 and
+// §5, realized as experiments E1-E9 in internal/experiments), plus micro-benchmarks of the core operations. The experiment
 // benchmarks run a full workload per iteration and report the headline
 // quantity of their table via b.ReportMetric; `go run ./cmd/tsbench`
 // prints the full tables.
@@ -570,7 +570,7 @@ func BenchmarkPagedCheckpoint(b *testing.B) {
 	for _, size := range []int{4_000, 16_000} {
 		b.Run(fmt.Sprintf("versions=%d", size), func(b *testing.B) {
 			d, err := db.Open(db.Config{
-				Dir: b.TempDir(), PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+				Dir: b.TempDir(), Shards: 2, CheckpointBytes: -1,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -44,7 +46,7 @@ func TestDumpWALDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"checkpoint: format v3", "2 shard(s)", "lsn 5", "tail: clean", "5 commit record(s)"} {
+	for _, want := range []string{"checkpoint: format v4 (paged)", "2 shard(s)", "lsn 5", "tail: clean", "5 commit record(s)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -64,7 +66,7 @@ func TestDumpWALDirEmpty(t *testing.T) {
 
 func TestDumpPagedDir(t *testing.T) {
 	dir := t.TempDir()
-	d, err := db.Open(db.Config{Dir: dir, PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+	d, err := db.Open(db.Config{Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -105,15 +107,23 @@ func TestDumpPagedDir(t *testing.T) {
 	}
 }
 
+// TestDumpPagedDirRejectsLogical: a directory holding a format-3
+// logical checkpoint (written by an older engine) is refused, not
+// misread as an empty paged one.
 func TestDumpPagedDirRejectsLogical(t *testing.T) {
 	dir := t.TempDir()
-	d, err := db.Open(db.Config{Dir: dir, CheckpointBytes: -1})
-	if err != nil {
+	e := record.NewEncoder(nil)
+	e.Byte(2) // checkpoint header frame
+	e.Uvarint(3)
+	e.Uvarint(1)
+	e.Time(0)
+	e.Uvarint(0)
+	e.Uvarint(0)
+	if err := os.WriteFile(filepath.Join(dir, "CHECKPOINT"), record.AppendFrame(nil, e.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
 	var sb strings.Builder
-	if err := dumpPagedDir(&sb, dir); err == nil || !strings.Contains(err.Error(), "logical") {
+	if err := dumpPagedDir(&sb, dir); err == nil || !strings.Contains(err.Error(), "checkpoint format 3") {
 		t.Fatalf("dumpPagedDir on logical dir: %v", err)
 	}
 }

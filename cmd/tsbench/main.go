@@ -1,5 +1,5 @@
-// Command tsbench runs the reproduction's experiments (DESIGN.md, E1-E17)
-// and prints their tables: the measurement plan stated in §3.2/§5 of
+// Command tsbench runs the reproduction's experiments (E1-E17, see
+// docs/ARCHITECTURE.md for the layers they drive) and prints their tables: the measurement plan stated in §3.2/§5 of
 // Lomet & Salzberg (SIGMOD 1989) plus the paper's qualitative claims, the
 // concurrent sharded-engine scaling run (E10), the group-commit
 // fsync-amortization run (E11, durable mode in a temp directory), the

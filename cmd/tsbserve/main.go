@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tsbserve -dir DATA [-addr HOST:PORT] [-shards N] [-paged]
+//	tsbserve -dir DATA [-addr HOST:PORT] [-shards N]
 //	         [-migration] [-checkpoint-bytes N]
 //	         [-metrics-addr HOST:PORT]
 //	         [-window N] [-max-frame BYTES]
@@ -73,7 +73,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	addr := fs.String("addr", "127.0.0.1:4611", "listen address (or dial address with -status)")
 	dir := fs.String("dir", "", "database directory (created or recovered; required to serve)")
 	shards := fs.Int("shards", 4, "shard count for a newly created database")
-	paged := fs.Bool("paged", false, "paged durable mode (disk page/burn devices)")
 	migration := fs.Bool("migration", false, "background time-split migration")
 	ckptBytes := fs.Int64("checkpoint-bytes", 0, "background checkpoint threshold (0 = engine default, <0 = off)")
 	window := fs.Int("window", 64, "per-connection in-flight request window")
@@ -101,7 +100,6 @@ func run(args []string, stdout io.Writer, sigCh <-chan os.Signal) error {
 	d, err := db.Open(db.Config{
 		Dir:                 *dir,
 		Shards:              *shards,
-		PagedDevices:        *paged,
 		BackgroundMigration: *migration,
 		CheckpointBytes:     *ckptBytes,
 	})

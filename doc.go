@@ -3,8 +3,8 @@
 // Time-Split B-tree (TSB-tree).
 //
 // docs/ARCHITECTURE.md is the orientation document: the layer map, the
-// latch hierarchy, the durability contract (logical v3 vs paged v4
-// checkpoints), the background-migration state machine with its
+// latch hierarchy, the durability contract (paged devices, WAL, and
+// metadata-only v4 checkpoints), the background-migration state machine with its
 // admissible interleavings, the maintenance economy (the background
 // scheduler, WORM compaction, and the fuzzy per-shard checkpoint
 // capture), and the statically enforced invariants: cmd/tsbvet is a
@@ -15,18 +15,18 @@
 // ARCHITECTURE.md ("Statically enforced invariants") for the rules and
 // their escape hatches.
 //
-// The system lives in internal/ (see DESIGN.md for the inventory):
+// The system lives in internal/ (docs/ARCHITECTURE.md has the layer map):
 //
 //   - internal/core: the TSB-tree itself (the paper's contribution);
 //   - internal/wobt: Easton's Write-Once B-tree, the §2 baseline;
 //   - internal/bplus: a single-version B+-tree comparator;
 //   - internal/storage: simulated magnetic and write-once devices (and
 //     the device contracts both backends satisfy);
-//   - internal/pagestore: the file-backed devices of the paged durable
-//     mode — a CRC-framed mutable page file with a rollback journal,
+//   - internal/pagestore: the file-backed devices of the durable mode —
+//     a CRC-framed mutable page file with a rollback journal,
 //     and an append-only burn file with torn-tail detection;
 //   - internal/buffer, internal/record: substrates (the buffer pool
-//     doubles as the paged mode's dirty-page table; the record package
+//     doubles as the durable mode's dirty-page table; the record package
 //     also defines the shard-boundary key codec);
 //   - internal/txn, internal/secondary, internal/db: the §4/§3.6
 //     transaction and secondary-index layers and the engine facade;
@@ -40,10 +40,10 @@
 //     section of docs/ARCHITECTURE.md for the operator contract, the
 //     pushdown rules, and the one-latch invariant);
 //   - internal/wal: the durability subsystem — a CRC-framed,
-//     fsync-batched write-ahead log of commit records plus logical
-//     checkpoints;
+//     fsync-batched write-ahead log of commit records plus the
+//     checkpoint metadata format;
 //   - internal/workload, internal/metrics, internal/experiments: the
-//     evaluation harness (experiments E1-E17, see EXPERIMENTS.md);
+//     evaluation harness (experiments E1-E17, printed by cmd/tsbench);
 //   - internal/obs: the observability substrate — atomic counters,
 //     gauges, and lock-free latency histograms behind a registry with
 //     Prometheus-text and JSON exposition, plus ring-buffer event and
@@ -72,15 +72,14 @@
 // (the stamped write set) is durable in the write-ahead log, and group
 // commit coalesces concurrently-arriving committers into one log append,
 // one fsync, and one clock advance (BenchmarkGroupCommit reports the
-// commits-per-fsync amortization). Crash recovery reloads the latest
-// checkpoint and replays the log tail, stopping at the first torn frame;
-// background incremental checkpoints truncate the log without stopping
-// writers. With db.Config.PagedDevices the two storage devices are
-// themselves disk files (internal/pagestore) — the paper's magnetic/WORM
-// hierarchy made real — and a checkpoint flushes dirty pages through a
-// rollback journal instead of dumping the database: O(dirty pages)
-// checkpoints (BenchmarkPagedCheckpoint), metadata-only recovery, torn
-// flushes restored from the journal, torn WORM tails clipped on reopen.
+// commits-per-fsync amortization). The two storage devices are
+// themselves disk files in Dir (internal/pagestore) — the paper's
+// magnetic/WORM hierarchy made real — and a checkpoint flushes dirty
+// pages through a rollback journal: O(dirty pages) checkpoints
+// (BenchmarkPagedCheckpoint) that truncate the log without stopping
+// writers, metadata-only recovery that replays the log tail up to the
+// first torn frame, torn flushes restored from the journal, torn WORM
+// tails clipped on reopen.
 // See the internal/db package documentation for the exact durability
 // contract, and `tsbdump -waldir DIR` / `tsbdump -pagedir DIR` to
 // inspect a durable directory.

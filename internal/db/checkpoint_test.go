@@ -2,11 +2,14 @@ package db
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/record"
+	"repro/internal/wal"
 )
 
 func deptExtract(v []byte) record.Key {
@@ -17,45 +20,41 @@ func deptExtract(v []byte) record.Key {
 	return record.Key(v[:i])
 }
 
+// TestCheckpointRoundTrip: a checkpointed directory with a secondary
+// index, a small buffer pool (so pages are evicted and re-read) and a
+// WAL tail reopens to the same clock, histories and secondary lookups,
+// and keeps committing and checkpointing.
 func TestCheckpointRoundTrip(t *testing.T) {
-	d := open(t, Config{BufferPages: 16})
-	if err := d.CreateSecondary("dept", deptExtract); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	secs := map[string]SecondaryExtract{"dept": deptExtract}
+	d := openDur(t, Config{Dir: dir, BufferPages: 16, CheckpointBytes: -1, Secondaries: secs})
 	for i := 0; i < 400; i++ {
 		put(t, d, fmt.Sprintf("emp%03d", i%50), fmt.Sprintf("dept%02d|rev%d", i%7, i))
+		if i == 300 {
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	wantNow := d.Now()
 	wantHist, _ := d.History(record.StringKey("emp007"))
 	wantCount, _ := d.CountSecondary("dept", record.StringKey("dept03"), wantNow)
-
-	var buf bytes.Buffer
-	if err := d.SaveTo(&buf); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2, err := LoadFrom(&buf, map[string]SecondaryExtract{"dept": deptExtract}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d2 := openDur(t, Config{Dir: dir, BufferPages: 16, CheckpointBytes: -1, Secondaries: secs})
 	if d2.Now() != wantNow {
 		t.Errorf("clock = %v, want %v", d2.Now(), wantNow)
 	}
 	if err := d2.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after load: %v", err)
+		t.Fatalf("invariants after reopen: %v", err)
 	}
 	gotHist, err := d2.History(record.StringKey("emp007"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotHist) != len(wantHist) {
-		t.Fatalf("history length %d, want %d", len(gotHist), len(wantHist))
-	}
-	for i := range wantHist {
-		if gotHist[i].Time != wantHist[i].Time || string(gotHist[i].Value) != string(wantHist[i].Value) {
-			t.Fatalf("history[%d] = %v, want %v", i, gotHist[i], wantHist[i])
-		}
-	}
+	assertSameVersions(t, "history", gotHist, wantHist)
 	gotCount, _ := d2.CountSecondary("dept", record.StringKey("dept03"), wantNow)
 	if gotCount != wantCount {
 		t.Errorf("secondary count = %d, want %d", gotCount, wantCount)
@@ -65,89 +64,59 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	put(t, d2, "emp000", "dept99|after-restart")
 	v, ok, _ := d2.Get(record.StringKey("emp000"))
 	if !ok || string(v.Value) != "dept99|after-restart" {
-		t.Fatalf("write after load = %v, %v", v, ok)
+		t.Fatalf("write after reopen = %v, %v", v, ok)
 	}
 	if n, _ := d2.CountSecondary("dept", record.StringKey("dept99"), d2.Now()); n != 1 {
-		t.Errorf("secondary after reload write = %d, want 1", n)
+		t.Errorf("secondary after reopen write = %d, want 1", n)
 	}
-	var buf2 bytes.Buffer
-	if err := d2.SaveTo(&buf2); err != nil {
+	if err := d2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestSaveToRejectsActiveTransactions(t *testing.T) {
-	d := open(t, Config{})
-	put(t, d, "k", "committed")
-	tx := d.Begin()
-	if err := tx.Put(record.StringKey("k"), []byte("inflight")); err != nil {
-		t.Fatal(err)
-	}
-	// An in-flight updater makes a whole-image checkpoint torn (its Txn
-	// handle would not survive the load): SaveTo must refuse with the
-	// typed error instead of silently emitting one.
-	var buf bytes.Buffer
-	if err := d.SaveTo(&buf); !errors.Is(err, ErrActiveTransactions) {
-		t.Fatalf("SaveTo with active txn = %v, want ErrActiveTransactions", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("refused save still wrote %d bytes", buf.Len())
-	}
-	// A second in-flight updater is counted too.
-	tx2 := d.Begin()
-	if err := d.SaveTo(&buf); !errors.Is(err, ErrActiveTransactions) {
-		t.Fatalf("SaveTo with two active txns = %v", err)
-	}
-	if err := tx2.Commit(); err != nil { // empty commit resolves it
-		t.Fatal(err)
-	}
-
-	// Resolving the transaction unblocks the save.
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := d.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := LoadFrom(&buf, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok, _ := d2.Get(record.StringKey("k"))
-	if !ok || string(v.Value) != "committed" {
-		t.Fatalf("Get after load = %v, %v", v, ok)
-	}
-	if err := d2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Readers never block a save.
-	d2.ReadOnly()
-	var buf2 bytes.Buffer
-	if err := d2.SaveTo(&buf2); err != nil {
-		t.Fatalf("SaveTo with readers = %v", err)
-	}
-}
-
+// TestLoadValidatesInputs: reopening a directory checks the supplied
+// extractors against the checkpoint, and checkpoint bytes that are
+// garbage or name an impossible shape are errors, never a panic.
 func TestLoadValidatesInputs(t *testing.T) {
-	d := open(t, Config{})
-	d.CreateSecondary("a", func([]byte) record.Key { return nil })
+	dir := t.TempDir()
+	none := func([]byte) record.Key { return nil }
+	d := openDur(t, Config{Dir: dir, Secondaries: map[string]SecondaryExtract{"a": none}})
 	put(t, d, "k", "v")
-	var buf bytes.Buffer
-	if err := d.SaveTo(&buf); err != nil {
+	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Missing extractor.
-	if _, err := LoadFrom(bytes.NewReader(buf.Bytes()), nil, nil); err == nil {
+	if _, err := Open(Config{Dir: dir}); err == nil {
 		t.Error("missing extractor should fail")
 	}
 	// Wrong extractor name.
-	if _, err := LoadFrom(bytes.NewReader(buf.Bytes()),
-		map[string]SecondaryExtract{"b": func([]byte) record.Key { return nil }}, nil); err == nil {
+	if _, err := Open(Config{Dir: dir, Secondaries: map[string]SecondaryExtract{"b": none}}); err == nil {
 		t.Error("wrong extractor name should fail")
 	}
-	// Garbage input.
-	if _, err := LoadFrom(bytes.NewReader([]byte("not a checkpoint")), nil, nil); err == nil {
+
+	// Garbage checkpoint.
+	garbage := t.TempDir()
+	if err := os.WriteFile(filepath.Join(garbage, "CHECKPOINT"), []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: garbage}); err == nil {
 		t.Error("garbage checkpoint should fail")
+	}
+
+	// A CRC-valid checkpoint claiming zero shards (with a zero-image
+	// meta) over real device files once made Open index an empty tree
+	// slice and panic.
+	zero := t.TempDir()
+	openDur(t, Config{Dir: zero}).Close()
+	info, _, err := wal.ReadCheckpointInfo(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info.Shards, info.Paged.Shards, info.Paged.GroupLSNs = 0, nil, nil
+	if err := wal.WriteCheckpoint(zero, nil, info); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Config{Dir: zero}); err == nil || !strings.Contains(err.Error(), "0 shards") {
+		t.Errorf("zero-shard checkpoint: err = %v", err)
 	}
 }

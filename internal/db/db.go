@@ -33,9 +33,11 @@
 //
 // # Durability
 //
-// With Config.Dir set, the database is durable: a write-ahead log
-// (internal/wal) and incremental checkpoints live in that directory.
-// The contract, precisely:
+// With Config.Dir set, the database is durable: the two storage devices
+// are disk files in that directory (internal/pagestore) — a mutable page
+// file with a per-page CRC for the magnetic disk, an append-only burn
+// file of CRC-guarded sectors for the WORM — next to a write-ahead log
+// (internal/wal) and a checkpoint. The contract, precisely:
 //
 //   - Committed = logged + fsynced. Update/Commit return only after the
 //     transaction's redo record (its stamped write set) is durable in
@@ -44,30 +46,11 @@
 //     concurrent committers cost far fewer than N fsyncs
 //     (Stats().WAL's Records/Syncs is the measured factor).
 //   - A crash loses nothing acknowledged. Open(Config{Dir: ...})
-//     reloads the latest checkpoint and replays the log tail, stopping
-//     at the first torn frame. An unacknowledged commit (in flight at
-//     the crash) is recovered either fully or not at all — a log frame
-//     is exactly one transaction under a CRC — and uncommitted data is
-//     never durable, so recovery needs no undo pass.
-//   - Checkpoints truncate the log without stopping writers:
-//     DB.Checkpoint (and the background checkpointer, see
-//     Config.CheckpointBytes) rotates the log at a posting-quiescent
-//     boundary, dumps each shard's committed versions up to that
-//     boundary under the shard's read latch — one shard at a time,
-//     commits proceeding throughout — then atomically installs the
-//     checkpoint and deletes the segments it covers. Dumps are
-//     boundary-exact, so reload + log-tail replay applies every commit
-//     exactly once, in global commit-time order.
-//
-// # Paged durability
-//
-// With Config.PagedDevices additionally set, the devices themselves are
-// disk files in Dir (internal/pagestore): a mutable page file with a
-// per-page CRC for the magnetic disk, an append-only burn file of
-// CRC-guarded sectors for the WORM. The durability contract is the same
-// — committed = logged + fsynced, recovery loses nothing acknowledged —
-// but the checkpoint changes shape:
-//
+//     reattaches the device files at the latest checkpoint and replays
+//     the log tail, stopping at the first torn frame. An
+//     unacknowledged commit (in flight at the crash) is recovered
+//     either fully or not at all — a log frame is exactly one
+//     transaction under a CRC.
 //   - What a checkpoint flushes: the buffer pool runs writeback with a
 //     dirty-page table (strictly no-steal — a dirty page is never
 //     evicted, never written outside a checkpoint), and a checkpoint
@@ -78,8 +61,9 @@
 //     boundary, and the page-consistent WAL boundary. The flush
 //     pre-runs shard by shard with commits flowing; only the boundary
 //     capture itself (memory copies, no I/O) briefly holds the commit
-//     token plus the shard latches.
-//
+//     token plus one shard latch at a time. DB.Checkpoint and the
+//     background checkpointer (Config.CheckpointBytes) then delete the
+//     log segments the checkpoint covers.
 //   - What recovery trusts: page CRCs (verified on every read), the
 //     rollback journal (a torn flush restores the previous boundary
 //     image before anything reads it), the burn file up to the
@@ -91,11 +75,6 @@
 //     records their write locks), then the WAL tail replays — so
 //     recovery reads the checkpoint metadata plus O(log tail), never
 //     the whole database.
-//
-// SaveTo/LoadFrom remain as the quiescent whole-image alternative for
-// simulated devices; they refuse to run with updating transactions in
-// flight (ErrActiveTransactions) and refuse paged databases (whose
-// durable state is the directory itself).
 //
 // # Background migration
 //
@@ -119,10 +98,10 @@
 //     inline first) abandons the burned node as unreferenced write-once
 //     waste — Stats().Migrator.Abandoned — never links it in. Abandoned
 //     payload counts as waste, not payload, in Stats().Device
-//     (WastedBytes/DeadBytes), and on paged devices DB.Compact reclaims
-//     it: the database does not age badly under lost races.
-//   - Checkpoints fence the workers around the boundary, so v3 dumps
-//     and v4 page captures stay boundary-exact. Marks are not durable:
+//     (WastedBytes/DeadBytes), and in a durable database DB.Compact
+//     reclaims it: the database does not age badly under lost races.
+//   - Checkpoints fence the workers around the boundary, so page
+//     captures stay boundary-exact. Marks are not durable:
 //     a crash drops them and future inserts re-create them.
 //   - Close finishes the in-flight migration and drops the queue (a
 //     marked-but-unsplit leaf is a valid tree); DrainMigrations flushes
@@ -217,9 +196,10 @@ type Config struct {
 	// the paper's refinement).
 	Policy core.Policy
 	// Cost is the simulated latency model (default DefaultCostModel).
+	// In-memory databases only: a Dir database's devices are files.
 	Cost *storage.CostModel
 	// PlatterSectors/Drives enable the optical-library model (0 = one
-	// always-mounted disk).
+	// always-mounted disk). In-memory databases only, like Cost.
 	PlatterSectors uint64
 	Drives         int
 	// MaxKeySize / MaxValueSize bound record sizes (see core.Config).
@@ -229,24 +209,18 @@ type Config struct {
 	LeafCapacity  int
 	IndexCapacity int
 
-	// Dir enables the durable mode: the directory holds the write-ahead
-	// log and checkpoints. Open creates it if needed, or recovers the
-	// database it finds there (checkpoint reload + WAL tail replay).
-	// With Dir set, a commit is acknowledged only once its redo record
-	// is fsynced — group commit batches concurrent committers into one
-	// fsync. See the package documentation's durability contract.
+	// Dir makes the database durable: the directory holds the magnetic
+	// and WORM devices as files (internal/pagestore), the write-ahead
+	// log, and the checkpoint. Open creates it if needed, or recovers
+	// the database it finds there (device reattachment + WAL tail
+	// replay). With Dir set, a commit is acknowledged only once its redo
+	// record is fsynced — group commit batches concurrent committers into
+	// one fsync — and a checkpoint flushes only the dirty pages. Requires
+	// the buffer pool (BufferPages must not be NoCachePages): its
+	// dirty-page table is what a checkpoint flushes. See the package
+	// documentation's durability contract.
 	Dir string
-	// PagedDevices selects the paged durable mode (requires Dir): the
-	// magnetic and WORM devices are disk files in Dir
-	// (internal/pagestore) instead of in-memory simulations, the buffer
-	// pool runs writeback with a dirty-page table, and a checkpoint
-	// flushes dirty pages — O(dirty), not O(database) — then records a
-	// page-consistent boundary. Recovery reopens the device files
-	// (restoring any torn flush from the rollback journal and clipping
-	// the torn WORM tail) and replays only the WAL tail. A directory is
-	// paged or logical at creation, forever: reopening with the wrong
-	// mode fails. Incompatible with BufferPages = NoCachePages (the
-	// dirty-page table IS the pool).
+	// Deprecated: every Dir database is paged; setting this without Dir is an error.
 	PagedDevices bool
 	// BackgroundMigration moves time-split migration off the insert
 	// path: an insert that would time split a leaf (burning its
@@ -261,8 +235,8 @@ type Config struct {
 	// headroom: with LeafCapacity equal to PageSize (the default) a
 	// logically-overfull leaf has nowhere to grow and splits inline, so
 	// set LeafCapacity below PageSize to give the migrator room.
-	// Works for in-memory, durable, and paged databases; recovery
-	// replay always splits inline (marks are not durable state).
+	// Works for in-memory and durable databases; recovery replay
+	// always splits inline (marks are not durable state).
 	BackgroundMigration bool
 	// CheckpointBytes triggers a background incremental checkpoint
 	// (which truncates the log) once the WAL has grown by this many
@@ -274,7 +248,7 @@ type Config struct {
 	// DB.Compact) once the payload of unreferenced write-once runs —
 	// Stats().Device.DeadBytes: abandoned background migrations, crash
 	// orphans — exceeds this many bytes. 0 disables background
-	// compaction (DB.Compact still works). Paged durable mode only.
+	// compaction (DB.Compact still works). Durable mode only.
 	CompactDeadBytes int64
 	// SlowOpThreshold is the duration at or above which a completed
 	// background span (checkpoint, compaction round, migration) is
@@ -292,7 +266,7 @@ type Config struct {
 	// logWrap wraps every log and checkpoint file the durable mode
 	// opens; crash tests inject torn-write faults through it.
 	logWrap func(storage.LogFile) storage.LogFile
-	// blockWrap wraps the paged mode's device files (page file, burn
+	// blockWrap wraps the durable mode's device files (page file, burn
 	// file, rollback journal); crash tests inject torn positioned
 	// writes through it.
 	blockWrap func(storage.BlockFile) storage.BlockFile
@@ -322,11 +296,11 @@ type DB struct {
 	store *shardedStore
 	tm    *txn.Manager
 
-	// Paged-mode devices (nil otherwise): the same objects as mag/worm,
-	// concretely typed for the checkpoint flush protocol.
+	// Durable-mode devices (nil in memory): the same objects as
+	// mag/worm, concretely typed for the checkpoint flush protocol.
 	pf *pagestore.PageFile
 	bf *pagestore.BurnFile
-	// epoch is the installed paged-checkpoint epoch; secTag the flush
+	// epoch is the installed checkpoint epoch; secTag the flush
 	// group of the secondary indexes (shard i uses group i).
 	epoch  uint64
 	secTag int
@@ -411,23 +385,21 @@ func (cfg *Config) withDefaults() error {
 	if (cfg.Policy == core.Policy{}) {
 		cfg.Policy = core.PolicyLastUpdate
 	}
-	if cfg.PagedDevices {
-		if cfg.Dir == "" {
-			return fmt.Errorf("db: PagedDevices requires Dir")
-		}
-		if cfg.BufferPages == NoCachePages {
-			return fmt.Errorf("db: PagedDevices requires the buffer pool (BufferPages must not be NoCachePages)")
-		}
+	if cfg.PagedDevices && cfg.Dir == "" {
+		return fmt.Errorf("db: PagedDevices requires Dir")
+	}
+	if cfg.Dir != "" && cfg.BufferPages == NoCachePages {
+		return fmt.Errorf("db: Dir requires the buffer pool (BufferPages must not be NoCachePages)")
 	}
 	return nil
 }
 
 // Open creates a new database on fresh simulated devices — or, when
 // cfg.Dir is set, opens the durable database in that directory,
-// recovering whatever a previous process left there: the latest
-// checkpoint is reloaded and the WAL tail replayed over it, yielding
-// exactly the acknowledged commits (see the package documentation's
-// durability contract).
+// recovering whatever a previous process left there: the device files
+// are reattached at the latest checkpoint and the WAL tail replayed
+// over them, yielding exactly the acknowledged commits (see the package
+// documentation's durability contract).
 func Open(cfg Config) (*DB, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -435,31 +407,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Dir != "" {
 		return openDurable(cfg)
 	}
-	d, err := newEmpty(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for name, extract := range cfg.Secondaries {
-		if err := d.CreateSecondary(name, extract); err != nil {
-			return nil, err
-		}
-	}
-	d.tm = txn.NewManager(d.store, d.store.Now())
-	d.tm.SetCommitHook(d.onCommit)
-	d.wireObs(cfg)
-	if cfg.BackgroundMigration {
-		d.startMigrator()
-	}
-	return d, nil
-}
-
-// newEmpty builds a database on fresh simulated devices with no
-// transaction manager, hook, log, or secondaries wired yet: the common
-// substrate of the in-memory and durable open paths. Each caller
-// constructs d.tm itself — the durable path only knows the clock after
-// recovery, and a single construction point per path keeps the clock
-// seeding explicit.
-func newEmpty(cfg Config) (*DB, error) {
 	cost := storage.DefaultCostModel()
 	if cfg.Cost != nil {
 		cost = *cfg.Cost
@@ -493,6 +440,17 @@ func newEmpty(cfg Config) (*DB, error) {
 		trees[i] = tree
 	}
 	d.store = newShardedStore(trees)
+	for name, extract := range cfg.Secondaries {
+		if err := d.CreateSecondary(name, extract); err != nil {
+			return nil, err
+		}
+	}
+	d.tm = txn.NewManager(d.store, d.store.Now())
+	d.tm.SetCommitHook(d.onCommit)
+	d.wireObs(cfg)
+	if cfg.BackgroundMigration {
+		d.startMigrator()
+	}
 	return d, nil
 }
 
@@ -502,7 +460,7 @@ const defaultSlowOpThreshold = 25 * time.Millisecond
 
 // wireObs builds the metric registry and event log and names every
 // component's instruments in them. Called once per open path (Open,
-// openDurable, LoadFrom) after the transaction manager exists.
+// openDurable) after the transaction manager exists.
 // Instruments are component-owned struct fields that record from birth;
 // registration only names them for exposition, so nothing here is on a
 // hot path and order relative to first use does not matter.
@@ -573,8 +531,9 @@ func (d *DB) pages() storage.PageStore {
 }
 
 // secondaryPages returns the page store a secondary index's tree writes
-// through: in paged mode the pool view tagged with the secondary flush
-// group, so checkpoints can pre-flush the indexes as their own batch.
+// through: in a durable database the pool view tagged with the
+// secondary flush group, so checkpoints can pre-flush the indexes as
+// their own batch.
 func (d *DB) secondaryPages() storage.PageStore {
 	if d.pf != nil {
 		return d.pool.Tagged(d.secTag)
@@ -835,8 +794,8 @@ func (d *DB) FetchBySecondary(name string, skey record.Key, at record.Timestamp)
 // function CS = SpaceM·CM + SpaceO·CO, derived from the device counters
 // for both the simulated and the file-backed (paged) devices.
 type DeviceStats struct {
-	// Paged reports whether the devices are disk files
-	// (Config.PagedDevices) rather than in-memory simulations.
+	// Paged reports whether the devices are disk files (Config.Dir)
+	// rather than in-memory simulations.
 	Paged bool
 	// SpaceM is the magnetic space consumed in bytes (pages in use ×
 	// page size) — the erasable current database plus index.
@@ -857,8 +816,8 @@ type DeviceStats struct {
 	// Utilization is PayloadBytes / SpaceO (1 when nothing is burned).
 	Utilization float64
 	// DirtyPages is the current size of the buffer pool's dirty-page
-	// table — the pages the next checkpoint will flush. Always 0
-	// outside the paged mode (the pool writes through).
+	// table — the pages the next checkpoint will flush. Always 0 for
+	// in-memory databases (the pool writes through).
 	DirtyPages int
 }
 
@@ -875,7 +834,7 @@ type Stats struct {
 	Buffer   buffer.Stats
 	// Device condenses Magnetic/WORM/Buffer into the paper's space
 	// accounting: SpaceM, SpaceO, burned vs. payload, and the
-	// dirty-page count the next paged checkpoint will flush.
+	// dirty-page count the next checkpoint will flush.
 	Device DeviceStats
 	// WAL is the write-ahead log accounting (zero for in-memory
 	// databases). Txn.Committed / WAL.Syncs is the group-commit fsync
@@ -977,21 +936,9 @@ func (d *DB) WithShardTree(i int, fn func(*core.Tree) error) error {
 	return fn(sh.tree)
 }
 
-// Tree exposes the first shard's TSB-tree without any latching.
-//
-// Deprecated: the returned tree races with concurrent transactions; use
-// WithShardTree, which holds the shard latch around the access.
-func (d *DB) Tree() *core.Tree { return d.store.shards[0].tree }
-
-// ShardTree exposes shard i's TSB-tree without any latching.
-//
-// Deprecated: the returned tree races with concurrent transactions; use
-// WithShardTree, which holds the shard latch around the access.
-func (d *DB) ShardTree(i int) *core.Tree { return d.store.shards[i].tree }
-
 // Devices exposes the storage devices for experiment accounting: the
 // simulated disks of an in-memory database, or the file-backed page and
-// burn stores of a paged durable one.
+// burn stores of a durable one.
 func (d *DB) Devices() (storage.PageDevice, storage.WORMDevice) { return d.mag, d.worm }
 
 // CheckInvariants verifies every shard tree (including that each key

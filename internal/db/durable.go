@@ -1,8 +1,9 @@
 package db
 
-// The durable mode: a directory-backed database whose commits are
-// write-ahead logged (internal/wal) and whose log is truncated by
-// incremental logical checkpoints taken while writers run.
+// The durable mode: a directory-backed database whose devices are disk
+// files (paged.go), whose commits are write-ahead logged (internal/wal),
+// and whose log is truncated by incremental checkpoints taken while
+// writers run.
 //
 // The durability contract, precisely:
 //
@@ -10,23 +11,22 @@ package db
 //     transaction's redo record (its stamped write set) is durable in
 //     the WAL; group commit batches concurrently-arriving committers
 //     into one append + one fsync.
-//   - a crash loses nothing acknowledged. Open replays the latest
-//     checkpoint and then the WAL tail, stopping at the first torn
-//     frame. A commit whose fsync never completed is either absent or
-//     — if its frame happened to land intact before the crash —
-//     present in full; never half-applied, because a frame is exactly
-//     one transaction under a CRC.
+//   - a crash loses nothing acknowledged. Open reattaches the device
+//     files at the latest checkpoint and then replays the WAL tail,
+//     stopping at the first torn frame. A commit whose fsync never
+//     completed is either absent or — if its frame happened to land
+//     intact before the crash — present in full; never half-applied,
+//     because a frame is exactly one transaction under a CRC.
 //   - in-flight transactions at the crash are gone: pending versions
-//     are never logged and never checkpointed (the logical dump takes
-//     only committed versions), so recovery needs no undo pass.
+//     are never logged, and the ones a checkpointed page captured are
+//     erased on reopen (the checkpoint records their write locks), so
+//     recovery needs no undo pass.
 //
-// A checkpoint rotates the log at a posting-quiescent boundary (one
-// brief acquisition of the commit leadership token), then dumps each
-// shard's committed versions under that shard's read latch — shard by
-// shard, writers running throughout. The dump is boundary-exact:
-// versions stamped after the boundary clock are filtered out (their log
-// records all sit past the rotation LSN and are replayed instead), so
-// reload plus log tail reproduces every commit exactly once, in global
+// A checkpoint flushes the dirty pages and captures each shard's tree
+// image at its own boundary LSN, one shard latch at a time, writers
+// running throughout (paged.go has the protocol). Replay applies a
+// logged version to a tree only past that tree's boundary, so reload
+// plus log tail reproduces every commit exactly once, in global
 // commit-time order — which the secondary indexes, one tree shared by
 // all shards, require. Once the checkpoint file is fsynced and
 // atomically renamed into place, segments wholly below the rotation
@@ -102,11 +102,6 @@ func openDurable(cfg Config) (*DB, error) {
 		return nil, err
 	}
 	if found {
-		if havePaged := info.Paged != nil; havePaged != cfg.PagedDevices {
-			mode := map[bool]string{true: "paged", false: "logical"}
-			return nil, fmt.Errorf("db: %s holds a %s-device database, config asks for %s (a directory's device mode is fixed at creation)",
-				cfg.Dir, mode[havePaged], mode[cfg.PagedDevices])
-		}
 		if cfg.Shards != 1 && cfg.Shards != info.Shards {
 			return nil, fmt.Errorf("db: %s has %d shards, config asks for %d",
 				cfg.Dir, info.Shards, cfg.Shards)
@@ -117,31 +112,12 @@ func openDurable(cfg Config) (*DB, error) {
 		}
 	}
 
-	if cfg.PagedDevices {
-		// Paged mode: the committed database is the device files
-		// themselves; openPaged reattaches (or creates) them and builds
-		// the trees from the checkpoint's images — no version reload.
-		d, err = openPaged(cfg, info, found)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		d, err = newEmpty(cfg)
-		if err != nil {
-			return nil, err
-		}
-		d.dir = cfg.Dir
-		d.logWrap = cfg.logWrap
-		for name, extract := range cfg.Secondaries {
-			if err := d.CreateSecondary(name, extract); err != nil {
-				return nil, err
-			}
-		}
-		if found {
-			if err := d.loadCheckpoint(); err != nil {
-				return nil, err
-			}
-		}
+	// The committed database is the device files themselves: openPaged
+	// reattaches (or creates) them and builds the trees from the
+	// checkpoint's images — no version reload.
+	d, err = openPaged(cfg, info, found)
+	if err != nil {
+		return nil, err
 	}
 	lastLSN, nextSeg, err := d.replayLog(info)
 	if err != nil {
@@ -180,9 +156,6 @@ func openDurable(cfg Config) (*DB, error) {
 		d.cpEvery = defaultCheckpointBytes
 	}
 	d.coEvery = cfg.CompactDeadBytes
-	if d.pf == nil {
-		d.coEvery = 0 // compaction is a paged-device job
-	}
 	if d.cpEvery > 0 || d.coEvery > 0 {
 		d.stopCp = make(chan struct{})
 		d.cpDone.Add(1)
@@ -218,8 +191,7 @@ func checkExtractors(names []string, extracts map[string]SecondaryExtract) error
 // hook sees exactly what it would have seen at the original commit.
 // Versions must arrive in an order that never decreases commit times
 // GLOBALLY — the secondary indexes are single trees spanning all
-// shards — which loadCheckpoint's global sort and the WAL's LSN order
-// both guarantee.
+// shards — which the WAL's LSN order guarantees.
 func (d *DB) applyCommitted(v record.Version) error {
 	if len(d.secondaries) == 0 {
 		// The old version is only ever needed by the secondary-index
@@ -236,50 +208,16 @@ func (d *DB) applyCommitted(v record.Version) error {
 	return d.onCommit(v.Time, oldV, oldOK, v)
 }
 
-// loadCheckpoint rebuilds the store from the checkpoint's logical dump.
-// Chunks arrive shard by shard, but the secondary indexes span shards,
-// so every version is buffered and applied in one globally time-sorted
-// pass (the dump is boundary-exact: nothing past the checkpoint clock).
-func (d *DB) loadCheckpoint() error {
-	var all []record.Version
-	info, _, err := wal.ReadCheckpoint(d.dir, func(shard int, vs []record.Version) error {
-		all = append(all, vs...)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(all, func(a, b int) bool {
-		if all[a].Time != all[b].Time {
-			return all[a].Time < all[b].Time
-		}
-		return all[a].Key.Less(all[b].Key)
-	})
-	for _, v := range all {
-		if v.Time > info.Clock {
-			// Defense in depth: a correctly-written checkpoint is
-			// boundary-exact, so nothing past its clock belongs here —
-			// the log tail owns those commits.
-			return fmt.Errorf("db: checkpoint version at %s past its clock %s", v.Time, info.Clock)
-		}
-		if err := d.applyCommitted(v); err != nil {
-			return fmt.Errorf("db: checkpoint reload: %w", err)
-		}
-	}
-	return nil
-}
-
-// replayLog replays every WAL segment after the checkpoint boundary.
-// For logical (v3) checkpoints the boundary is one LSN and every frame
-// past it is applied unconditionally, in LSN (= global commit-time)
-// order. A fuzzy paged (v4) checkpoint has per-tree boundaries instead:
-// shard i's image was captured at GroupLSNs[i] and the secondary
-// indexes at SecLSN (>= every group LSN, they are captured last), all
-// >= the header LSN the replay starts from — so each version applies to
+// replayLog replays every WAL segment after the checkpoint boundary, in
+// LSN (= global commit-time) order. The fuzzy checkpoint has per-tree
+// boundaries: shard i's image was captured at GroupLSNs[i] and the
+// secondary indexes at SecLSN (>= every group LSN, they are captured
+// last), all >= the header LSN the replay starts from — so each version applies to
 // its primary shard only past that shard's boundary, and drives the
 // secondary-index hook only past SecLSN. Reload + tail replay stays
-// exactly-once per tree. It returns the last intact LSN and the segment
-// number a fresh log should start at.
+// exactly-once per tree. A checkpoint without GroupLSNs captured every
+// tree at the header LSN, so everything past it applies. It returns the
+// last intact LSN and the segment number a fresh log should start at.
 func (d *DB) replayLog(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err error) {
 	var group []uint64
 	secLSN := info.LSN
@@ -317,8 +255,8 @@ func (d *DB) replayLog(info wal.CheckpointInfo) (lastLSN, nextSeg uint64, err er
 }
 
 // replayCommit redoes one logged transaction, filtered by the fuzzy
-// capture boundaries (group/secLSN; group is nil for logical replay,
-// which applies everything).
+// capture boundaries (group/secLSN; group is nil when every tree was
+// captured at the header LSN, which applies everything).
 func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secLSN uint64) error {
 	for _, v := range rec.Versions {
 		if group != nil {
@@ -345,31 +283,6 @@ func (d *DB) replayCommit(lsn uint64, rec txn.CommitRecord, group []uint64, secL
 	return nil
 }
 
-// dumpShard materializes shard i's committed history up to the
-// checkpoint boundary under that shard's read latch, sorted so commit
-// times never decrease — the unit of checkpoint capture. Versions
-// stamped past the boundary (writers keep committing during the dump)
-// are excluded: their log records live past the rotation LSN and replay
-// owns them, keeping reload + replay exactly-once and globally ordered.
-func (d *DB) dumpShard(i int, upTo record.Timestamp) ([]record.Version, error) {
-	sh := d.store.shards[i]
-	sh.mu.RLock()
-	vs, err := sh.tree.ScanRange(nil, record.InfiniteBound(), record.TimeZero+1, upTo+1)
-	sh.mu.RUnlock()
-	if err != nil {
-		return nil, err
-	}
-	// The boundary clock is posting-quiescent, so no version sits at
-	// upTo+1 mid-posting; the window [1, upTo+1) is exact.
-	sort.SliceStable(vs, func(a, b int) bool {
-		if vs[a].Time != vs[b].Time {
-			return vs[a].Time < vs[b].Time
-		}
-		return vs[a].Key.Less(vs[b].Key)
-	})
-	return vs, nil
-}
-
 // secondaryNames returns the registered secondary-index names, sorted.
 func (d *DB) secondaryNames() []string {
 	d.secMu.RLock()
@@ -383,9 +296,9 @@ func (d *DB) secondaryNames() []string {
 }
 
 // Checkpoint takes an incremental checkpoint of a durable database and
-// truncates the log, without stopping writers: the log is rotated at a
-// posting-quiescent boundary (a brief pause of commit posting only),
-// each shard is dumped under a short read latch, and old segments are
+// truncates the log, without stopping writers: the dirty pages are
+// flushed, each shard's boundary is captured under a brief pause of
+// commit posting plus that one shard's read latch, and old segments are
 // deleted once the checkpoint file is durably installed. Concurrent
 // checkpoints serialize.
 func (d *DB) Checkpoint() error {
@@ -401,28 +314,22 @@ func (d *DB) Checkpoint() error {
 	// in-flight migrations complete first (pause waits for them), then
 	// the workers idle, so no swap rewrites pages and no off-latch burn
 	// moves the WORM tail while the boundary is captured. The fence is
-	// what keeps v4 page captures and v3 dumps boundary-exact with
-	// migrations in the system; queued-but-unprocessed marks are not
-	// durable state and simply survive (or, after a crash, are
-	// re-created by future inserts).
+	// what keeps page captures boundary-exact with migrations in the
+	// system; queued-but-unprocessed marks are not durable state and
+	// simply survive (or, after a crash, are re-created by future
+	// inserts).
 	d.mig.pause()
 	defer d.mig.resume()
 	return d.checkpointLocked()
 }
 
-// checkpointLocked runs the mode-appropriate checkpoint — caller holds
-// cpMu with the migrator fenced — and accounts the per-checkpoint pause
-// (the sum of its quiesce windows) into Stats().Checkpoint.
+// checkpointLocked runs a checkpoint — caller holds cpMu with the
+// migrator fenced — and accounts the per-checkpoint pause (the sum of
+// its quiesce windows) into Stats().Checkpoint.
 func (d *DB) checkpointLocked() error {
 	sp := d.events.StartSpan("checkpoint", &d.cpHist)
 	before := d.cpPauseNanos.Load()
-	var err error
-	if d.pf != nil {
-		err = d.checkpointPagedLocked()
-	} else {
-		err = d.checkpointLogicalLocked()
-	}
-	if err != nil {
+	if err := d.checkpointPagedLocked(); err != nil {
 		sp.End("error: " + err.Error())
 		return err
 	}
@@ -446,42 +353,6 @@ func (d *DB) quiesceTimed(fn func() error) error {
 	err := d.tm.Quiesce(fn)
 	d.cpPauseNanos.Add(uint64(time.Since(start)))
 	return err
-}
-
-// checkpointLogicalLocked is the v3 (logical-dump) checkpoint body.
-func (d *DB) checkpointLogicalLocked() error {
-	var boundary uint64
-	var clock record.Timestamp
-	err := d.quiesceTimed(func() error {
-		// Under the leadership token no commit is mid-posting: every
-		// record at or below the boundary is fully in the store, and
-		// the clock cannot move.
-		lsn, err := d.wal.Rotate()
-		if err != nil {
-			return err
-		}
-		boundary = lsn
-		clock = d.tm.Now()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	info := wal.CheckpointInfo{
-		Shards:      len(d.store.shards),
-		Clock:       clock,
-		LSN:         boundary,
-		Secondaries: d.secondaryNames(),
-	}
-	dump := func(shard int) ([]record.Version, error) { return d.dumpShard(shard, clock) }
-	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info, dump); err != nil {
-		return err
-	}
-	if err := d.wal.RemoveSegmentsBelow(d.wal.CurrentSegment()); err != nil {
-		return err
-	}
-	d.wal.MarkCheckpoint()
-	return nil
 }
 
 // Close stops the maintenance scheduler and the background migrator,

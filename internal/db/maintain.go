@@ -11,7 +11,7 @@ package db
 //     per-shard migrator workers; the scheduler's role is the shared
 //     fence (pause/resume) every other job uses around its own
 //     critical windows.
-//   - the fuzzy paged flush (paged.go, checkpointPagedLocked):
+//   - the fuzzy checkpoint flush (paged.go, checkpointPagedLocked):
 //     triggered here on WAL growth, exactly as the old background
 //     checkpointer did, but now capturing the boundary one flush group
 //     at a time so the writer-visible pause is one shard's capture.
@@ -209,7 +209,7 @@ func (d *DB) maintenanceLoop() {
 func (d *DB) Compact() (CompactionReport, error) {
 	var rep CompactionReport
 	if d.bf == nil {
-		return rep, fmt.Errorf("db: Compact requires paged devices (Config.PagedDevices)")
+		return rep, fmt.Errorf("db: Compact requires a durable database (Config.Dir)")
 	}
 	d.cpMu.Lock()
 	defer d.cpMu.Unlock()

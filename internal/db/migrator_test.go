@@ -1,13 +1,15 @@
 package db
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/record"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -57,12 +59,52 @@ func collectCursor(t *testing.T, c *Cursor) []record.Version {
 	return out
 }
 
+// dbImage is the full state of an in-memory database: every shard's
+// tree image, every secondary's, the commit clock, and deep copies of
+// both simulated devices (every page and sector, plus the accounting).
+type dbImage struct {
+	Clock       record.Timestamp
+	Shards      []core.TreeImage
+	Secondaries map[string]core.TreeImage
+	Magnetic    storage.MagneticImage
+	WORM        storage.WORMImage
+}
+
+// imageOf captures d's full state; d must be quiescent (no commit or
+// migration in flight), or the device and tree captures could tear.
+func imageOf(t *testing.T, d *DB) dbImage {
+	t.Helper()
+	mag, magOK := d.mag.(*storage.MagneticDisk)
+	worm, wormOK := d.worm.(*storage.WORMDisk)
+	if !magOK || !wormOK {
+		t.Fatal("imageOf needs the simulated devices of an in-memory database")
+	}
+	img := dbImage{
+		Clock:       d.tm.Now(),
+		Secondaries: make(map[string]core.TreeImage),
+		Magnetic:    mag.Image(),
+		WORM:        worm.Image(),
+	}
+	for _, sh := range d.store.shards {
+		sh.mu.RLock()
+		img.Shards = append(img.Shards, sh.tree.Image())
+		sh.mu.RUnlock()
+	}
+	d.secMu.RLock()
+	for name, s := range d.secondaries {
+		img.Secondaries[name] = s.index.Image()
+	}
+	d.secMu.RUnlock()
+	return img
+}
+
 // TestMigratorEquivalenceProperty is the background-migration property
 // test: a multi-shard database running the background migrator (drained
-// after each operation) must be byte-identical — the full SaveTo image:
-// device contents, tree metadata, stats — to an inline-split database
-// given the same operation sequence, and must answer forward, reverse,
-// and limit/paginated scans identically.
+// after each operation) must be byte-identical — every shard's tree
+// image (root, clock, stats, marked set) and the full contents and
+// accounting of both devices — to an inline-split database given the
+// same operation sequence, and must answer forward, reverse, and
+// limit/paginated scans identically.
 func TestMigratorEquivalenceProperty(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		for _, seed := range []int64{2, 11} {
@@ -105,16 +147,14 @@ func TestMigratorEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				var imgInline, imgBg bytes.Buffer
-				if err := inline.SaveTo(&imgInline); err != nil {
-					t.Fatal(err)
+				imgInline, imgBg := imageOf(t, inline), imageOf(t, bg)
+				if !reflect.DeepEqual(imgInline.Shards, imgBg.Shards) {
+					t.Fatalf("tree images diverged:\ninline %+v\nbackground %+v", imgInline.Shards, imgBg.Shards)
 				}
-				if err := bg.SaveTo(&imgBg); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(imgInline.Bytes(), imgBg.Bytes()) {
-					t.Fatalf("SaveTo images diverged: inline %d bytes, background %d bytes (tree stats inline=%+v bg=%+v)",
-						imgInline.Len(), imgBg.Len(), inline.Stats().Tree, bg.Stats().Tree)
+				if !reflect.DeepEqual(imgInline, imgBg) {
+					t.Fatalf("device images diverged: inline %d pages / %d sectors (%+v, %+v), background %d pages / %d sectors (%+v, %+v)",
+						len(imgInline.Magnetic.Pages), len(imgInline.WORM.Sectors), imgInline.Magnetic.Stats, imgInline.WORM.Stats,
+						len(imgBg.Magnetic.Pages), len(imgBg.WORM.Sectors), imgBg.Magnetic.Stats, imgBg.WORM.Stats)
 				}
 
 				// Forward, reverse, and limit/paginated scans agree.
@@ -233,7 +273,7 @@ func TestMigratorConcurrentStress(t *testing.T) {
 }
 
 // TestMigratorDurableCheckpointReopen runs the migrator against a durable
-// (logical-checkpoint) database with checkpoints taken mid-stream — the
+// durable database with checkpoints taken mid-stream — the
 // fence path — then closes with migrations still queued and reopens: the
 // recovered database must hold exactly the acknowledged updates.
 func TestMigratorDurableCheckpointReopen(t *testing.T) {
@@ -352,17 +392,20 @@ func TestMigratorStatsSurface(t *testing.T) {
 	}
 }
 
-// TestMigratorSaveToFenced is the regression test for SaveTo on a
-// background-migration database: the whole-image checkpoint must fence
-// the workers (as DB.Checkpoint does) so a mid-image swap cannot tear
-// the device/tree capture. The saved image must reload into a database
-// holding every acknowledged value.
-func TestMigratorSaveToFenced(t *testing.T) {
+// TestMigratorCheckpointFenced is the regression test for a checkpoint
+// taken on a background-migration database right after a write burst:
+// the checkpoint must fence the workers so a mid-capture swap cannot
+// tear the page/tree capture. With no commit after it, recovery rests
+// on the checkpoint alone (the WAL tail is empty), and the reopened
+// database must hold every acknowledged value.
+func TestMigratorCheckpointFenced(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		d, err := Open(Config{
-			Shards: 2, LeafCapacity: 512, IndexCapacity: 1024,
-			BackgroundMigration: true,
-		})
+		dir := t.TempDir()
+		cfg := Config{
+			Dir: dir, Shards: 2, LeafCapacity: 512, IndexCapacity: 1024,
+			CheckpointBytes: -1, BackgroundMigration: true,
+		}
+		d, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,18 +420,18 @@ func TestMigratorSaveToFenced(t *testing.T) {
 			}
 			want[k] = v
 		}
-		// Save immediately after the burst: the queue is typically
-		// non-empty and a worker may be mid-ticket.
-		var img bytes.Buffer
-		if err := d.SaveTo(&img); err != nil {
+		// Checkpoint immediately after the burst: the queue is
+		// typically non-empty and a worker may be mid-ticket.
+		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := LoadFrom(&img, nil, nil)
+		crash(d)
+		re, err := Open(cfg)
 		if err != nil {
-			t.Fatalf("round %d: LoadFrom of mid-migration image: %v", round, err)
+			t.Fatalf("round %d: reopen of mid-migration checkpoint: %v", round, err)
 		}
 		if err := re.CheckInvariants(); err != nil {
-			t.Fatalf("round %d: reloaded invariants: %v", round, err)
+			t.Fatalf("round %d: reopened invariants: %v", round, err)
 		}
 		for k, v := range want {
 			got, ok, err := re.Get(record.StringKey(k))
@@ -396,9 +439,9 @@ func TestMigratorSaveToFenced(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !ok || string(got.Value) != v {
-				t.Fatalf("round %d: reloaded key %s = %q, want %q (ok=%v)", round, k, got.Value, v, ok)
+				t.Fatalf("round %d: reopened key %s = %q, want %q (ok=%v)", round, k, got.Value, v, ok)
 			}
 		}
-		d.Close()
+		re.Close()
 	}
 }

@@ -1,8 +1,8 @@
 package db
 
-// The paged durable mode: the storage devices themselves are disk files
-// (internal/pagestore), so a checkpoint flushes dirty pages instead of
-// rewriting a logical image of the whole database.
+// The device substrate of the durable mode: the storage devices
+// themselves are disk files (internal/pagestore), so a checkpoint
+// flushes dirty pages — O(dirty), never O(database).
 //
 // The protocol, precisely:
 //
@@ -48,10 +48,10 @@ package db
 //     and verifying + clipping the WORM tail past the boundary —
 //     reattaches the trees from their checkpointed images, erases the
 //     pending versions of the transactions in flight at the boundary
-//     (they died with the crash; a logical dump filters them out, a
-//     page image cannot), and replays the WAL tail past the boundary
-//     LSN. Orphaned intact burns stay as burned waste, exactly as
-//     unacknowledged burns on write-once media would.
+//     (they died with the crash, but a page image captured them), and
+//     replays the WAL tail past the boundary LSN. Orphaned intact burns
+//     stay as burned waste, exactly as unacknowledged burns on
+//     write-once media would.
 
 import (
 	"errors"
@@ -65,11 +65,11 @@ import (
 	"repro/internal/wal"
 )
 
-// openPaged builds the paged-device substrate of a durable database:
-// fresh device files for a new (or pre-first-checkpoint) directory, or
-// a reattachment to the files an installed checkpoint describes. The
+// openPaged builds the device substrate of a durable database: fresh
+// device files for a new (or pre-first-checkpoint) directory, or a
+// reattachment to the files an installed checkpoint describes. The
 // caller (openDurable) then replays the WAL tail and wires the
-// transaction manager exactly as in the logical mode.
+// transaction manager.
 func openPaged(cfg Config, info wal.CheckpointInfo, found bool) (*DB, error) {
 	pagePath, burnPath := pagestore.Paths(cfg.Dir)
 	d := &DB{
@@ -205,8 +205,8 @@ func (d *DB) flushPages(copies []buffer.DirtyPage) error {
 	return nil
 }
 
-// checkpointPagedLocked is DB.Checkpoint for the paged mode, called
-// under cpMu. Its cost is O(dirty pages), independent of database size:
+// checkpointPagedLocked is the body of DB.Checkpoint, called under
+// cpMu. Its cost is O(dirty pages), independent of database size:
 // nothing is dumped, only the dirty-page table is flushed and a
 // metadata-only checkpoint installed. The boundary capture is fuzzy —
 // per flush group, never whole-database; see the package comment's
@@ -340,7 +340,7 @@ func (d *DB) checkpointPagedLocked() error {
 		Secondaries: d.secondaryNames(),
 		Paged:       &meta,
 	}
-	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info, nil); err != nil {
+	if err := wal.WriteCheckpoint(d.dir, d.logWrap, info); err != nil {
 		return err
 	}
 	// The rename landed: the installed boundary IS meta.Epoch from here

@@ -263,7 +263,7 @@ func TestRecoveryPagedConcurrentCrash(t *testing.T) {
 		crash(d)
 
 		re, err := Open(Config{
-			Dir: dir, PagedDevices: true, Shards: 4, CheckpointBytes: -1,
+			Dir: dir, Shards: 4, CheckpointBytes: -1,
 			LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256,
 		})
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 // nodes so splits and WORM migrations actually happen.
 func pagedConfig(dir string) Config {
 	return Config{
-		Dir: dir, PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+		Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256,
 	}
 }
@@ -134,62 +134,66 @@ func TestPagedCheckpointIncremental(t *testing.T) {
 	}
 }
 
-// TestPagedModeMismatch: a directory is paged or logical at creation,
-// forever.
+// TestPagedModeMismatch: there is one durable format. The deprecated
+// PagedDevices flag selects nothing — a directory created with it
+// reopens without it and vice versa — and a directory holding a
+// format-3 logical checkpoint from an older engine is refused by
+// version, never misread.
 func TestPagedModeMismatch(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
+	cfg := pagedConfig(dir)
+	cfg.PagedDevices = true
+	d, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustPut(t, d, "a", "1")
 	d.Close()
-	cfg := pagedConfig(dir)
-	cfg.PagedDevices = false
-	if _, err := Open(cfg); err == nil || !strings.Contains(err.Error(), "paged") {
-		t.Fatalf("logical open of a paged directory: err = %v", err)
-	}
-
-	dir2 := t.TempDir()
-	cfg2 := pagedConfig(dir2)
-	cfg2.PagedDevices = false
-	d2, err := Open(cfg2)
+	d, err = Open(pagedConfig(dir))
 	if err != nil {
+		t.Fatalf("reopen without PagedDevices: %v", err)
+	}
+	mustPut(t, d, "a", "2")
+	d.Close()
+	d, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen with PagedDevices: %v", err)
+	}
+	if v, ok, _ := d.Get(record.StringKey("a")); !ok || string(v.Value) != "2" {
+		t.Fatalf("after reopens: a = %q, %v", v.Value, ok)
+	}
+	d.Close()
+
+	logical := t.TempDir()
+	e := record.NewEncoder(nil)
+	e.Byte(2) // checkpoint header frame
+	e.Uvarint(3)
+	e.Uvarint(2)
+	e.Time(0)
+	e.Uvarint(0)
+	e.Uvarint(0)
+	if err := os.WriteFile(filepath.Join(logical, "CHECKPOINT"), record.AppendFrame(nil, e.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustPut(t, d2, "a", "1")
-	d2.Close()
-	if _, err := Open(pagedConfig(dir2)); err == nil || !strings.Contains(err.Error(), "logical") {
-		t.Fatalf("paged open of a logical directory: err = %v", err)
+	if _, err := Open(pagedConfig(logical)); err == nil || !strings.Contains(err.Error(), "checkpoint format 3") {
+		t.Fatalf("open of a logical directory: err = %v", err)
 	}
 }
 
-// TestPagedSaveToRefused: SaveTo images simulated devices only.
-func TestPagedSaveToRefused(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(pagedConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if err := d.SaveTo(os.NewFile(0, "discard")); err == nil || !strings.Contains(err.Error(), "paged") {
-		t.Fatalf("SaveTo on paged database: err = %v", err)
-	}
-}
-
-// TestPagedConfigValidation: PagedDevices needs Dir and the pool.
+// TestPagedConfigValidation: a durable database needs the buffer pool,
+// and the deprecated PagedDevices still refuses to run without Dir.
 func TestPagedConfigValidation(t *testing.T) {
 	if _, err := Open(Config{PagedDevices: true}); err == nil {
 		t.Fatal("PagedDevices without Dir accepted")
 	}
-	if _, err := Open(Config{PagedDevices: true, Dir: t.TempDir(), BufferPages: NoCachePages}); err == nil {
-		t.Fatal("PagedDevices with NoCachePages accepted")
+	if _, err := Open(Config{Dir: t.TempDir(), BufferPages: NoCachePages}); err == nil {
+		t.Fatal("Dir with NoCachePages accepted")
 	}
 }
 
 // TestPagedSecondariesReopen: secondary indexes rebuilt from tree
 // images answer the same lookups after a reopen, and reopening demands
-// the extractor set exactly as the logical mode does.
+// the extractor set exactly.
 func TestPagedSecondariesReopen(t *testing.T) {
 	dir := t.TempDir()
 	secs := map[string]SecondaryExtract{"dept": deptExtract}

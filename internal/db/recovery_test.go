@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/record"
@@ -56,7 +57,6 @@ func applyOracle(t *testing.T, cfg Config, ops []oracleOp) *DB {
 	t.Helper()
 	cfg.Dir = ""
 	cfg.logWrap = nil
-	cfg.PagedDevices = false
 	cfg.blockWrap = nil
 	o, err := Open(cfg)
 	if err != nil {
@@ -256,39 +256,113 @@ func TestRecoveryTornTailSweep(t *testing.T) {
 	}
 }
 
-// TestRecoveryMidCheckpointCrash crashes inside the checkpoint writer:
-// the half-written temp file must be ignored and the previous
-// checkpoint + full log must still recover everything acknowledged.
-func TestRecoveryMidCheckpointCrash(t *testing.T) {
-	for _, tear := range []int64{0, 1, 7, 64, 200, 800} {
-		dir := t.TempDir()
-		d, err := Open(Config{Dir: dir, Shards: 2, CheckpointBytes: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(tear))
-		acked, _ := runUntilCrash(t, d, rng, 30)
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		more, _ := runUntilCrash(t, d, rng, 10)
-		acked = append(acked, more...)
+// armedTear is a fault seam for both kinds of durable file whose
+// TearPlan is installed later (arm): opening the directory and running
+// the workload write through untouched, and only bytes written after
+// arm count toward the tear.
+type armedTear struct {
+	plan    atomic.Pointer[storage.TearPlan]
+	written atomic.Int64
+}
 
-		// Now a checkpoint whose file writes tear after `tear` bytes.
-		plan := storage.NewTearPlan(tear)
-		d.logWrap = func(f storage.LogFile) storage.LogFile {
-			return storage.NewTornLogFile(f, plan)
+func (a *armedTear) arm(budget int64) { a.plan.Store(storage.NewTearPlan(budget)) }
+
+func (a *armedTear) logWrap(f storage.LogFile) storage.LogFile { return armedLog{f, a} }
+
+func (a *armedTear) blockWrap(f storage.BlockFile) storage.BlockFile { return armedBlock{f, a} }
+
+type armedLog struct {
+	storage.LogFile
+	a *armedTear
+}
+
+func (f armedLog) Write(p []byte) (int, error) {
+	f.a.written.Add(int64(len(p)))
+	return storage.NewTornLogFile(f.LogFile, f.a.plan.Load()).Write(p)
+}
+
+func (f armedLog) Sync() error { return storage.NewTornLogFile(f.LogFile, f.a.plan.Load()).Sync() }
+
+type armedBlock struct {
+	storage.BlockFile
+	a *armedTear
+}
+
+func (f armedBlock) WriteAt(p []byte, off int64) (int, error) {
+	f.a.written.Add(int64(len(p)))
+	return storage.NewTornBlockFile(f.BlockFile, f.a.plan.Load()).WriteAt(p, off)
+}
+
+func (f armedBlock) Truncate(size int64) error {
+	return storage.NewTornBlockFile(f.BlockFile, f.a.plan.Load()).Truncate(size)
+}
+
+func (f armedBlock) Sync() error {
+	return storage.NewTornBlockFile(f.BlockFile, f.a.plan.Load()).Sync()
+}
+
+// midCheckpointRun opens a fresh directory behind an armed seam, commits
+// a fixed workload with a checkpoint in the middle (so the next flush
+// both journals overwritten pages and writes new ones), then arms the
+// seam to tear after `tear` bytes and takes one more checkpoint. It
+// returns the database, the acknowledged commits, the checkpoint's
+// error, and how many bytes the checkpoint wrote.
+func midCheckpointRun(t *testing.T, dir string, tear int64) (d *DB, acked []oracleOp, cpErr error, written int64) {
+	t.Helper()
+	var seam armedTear
+	cfg := pagedConfig(dir)
+	cfg.logWrap, cfg.blockWrap = seam.logWrap, seam.blockWrap
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	acked, _ = runUntilCrash(t, d, rng, 30)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	more, _ := runUntilCrash(t, d, rng, 10)
+	acked = append(acked, more...)
+	seam.arm(tear)
+	before := seam.written.Load()
+	cpErr = d.Checkpoint()
+	return d, acked, cpErr, seam.written.Load() - before
+}
+
+// TestRecoveryMidCheckpointCrash crashes inside a checkpoint's write
+// stream — the rollback journal, the page flush, the checkpoint
+// metadata install — and demands that recovery restore the previous
+// boundary and replay the full log to everything acknowledged. The
+// stream is measured on an untorn twin run first; the sweep covers it
+// end to end, and every offset must tear (ErrInjected), so none of them
+// silently measures an uninterrupted checkpoint.
+func TestRecoveryMidCheckpointCrash(t *testing.T) {
+	twin, _, err, stream := midCheckpointRun(t, t.TempDir(), 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.Close()
+	tears := []int64{0, 1, 7, 64, 200, 800}
+	if stream <= tears[len(tears)-1] {
+		t.Fatalf("checkpoint wrote only %d bytes; the sweep would not reach its fixed offsets", stream)
+	}
+	for b := int64(13); b < stream; b += 29 {
+		tears = append(tears, b)
+	}
+	tears = append(tears, stream-1)
+	for _, tear := range tears {
+		dir := t.TempDir()
+		d, acked, err, _ := midCheckpointRun(t, dir, tear)
+		if !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("tear=%d of %d: torn checkpoint error = %v", tear, stream, err)
 		}
-		if err := d.Checkpoint(); !errors.Is(err, storage.ErrInjected) {
-			t.Fatalf("tear=%d: torn checkpoint error = %v", tear, err)
-		}
-		// Power loss here. Recovery must not trust the torn temp file.
+		// Power loss here. Recovery must not trust the torn files.
 		crash(d)
-		reopened, err := Open(Config{Dir: dir, Shards: 2, CheckpointBytes: -1})
+		reopened, err := Open(pagedConfig(dir))
 		if err != nil {
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
 		}
-		oracle := applyOracle(t, Config{Shards: 2}, acked)
+		oracle := applyOracle(t, pagedConfig(dir), acked)
 		assertEquivalent(t, fmt.Sprintf("ckpt-tear=%d", tear), reopened, oracle, nil)
 		reopened.Close()
 		oracle.Close()

@@ -8,7 +8,7 @@
 //
 // plus the storage cost function CS = SpaceM·CM + SpaceO·CO and the
 // qualitative claims of §1 (sector utilization, access costs, lock-free
-// read-only transactions). Experiments E1-E9 (see DESIGN.md) realize that
+// read-only transactions). Experiments E1-E9 (§3.2 and §5) realize that
 // plan; cmd/tsbench prints their tables and bench_test.go exposes each as
 // a benchmark.
 package experiments

@@ -124,7 +124,7 @@ func TestSweepShapes(t *testing.T) {
 	// never the minimizer at CO/CM = 1. Note: the paper's claim that key
 	// splitting always wins total space assumes node-granular accounting
 	// on both devices; byte-packed WORM appends give moderate time
-	// splitting a packing advantage (see EXPERIMENTS.md).
+	// splitting a packing advantage (E4's table shows it).
 	e4 := s.E4CostFunction(0.6)
 	minRow := e4.Rows[len(e4.Rows)-1]
 	if minRow[1] == "tsb-keypref" {

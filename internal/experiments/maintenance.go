@@ -46,7 +46,7 @@ type MaintenanceResult struct {
 // dir hosts the database.
 func E15Maintenance(dir string, workers, opsPerWorker int) (MaintenanceResult, Table, error) {
 	cfg := db.Config{
-		Dir: dir, PagedDevices: true, Shards: 2, CheckpointBytes: -1,
+		Dir: dir, Shards: 2, CheckpointBytes: -1,
 		LeafCapacity: 512, IndexCapacity: 1024, SectorSize: 256,
 		BackgroundMigration: true,
 	}

@@ -96,7 +96,7 @@ func CheckpointDuration(dirBase string, sizes []int, touch int) ([]CheckpointDur
 	}
 	for _, size := range sizes {
 		dir := fmt.Sprintf("%s/ckpt-size-%d", dirBase, size)
-		d, err := db.Open(db.Config{Dir: dir, PagedDevices: true, CheckpointBytes: -1, Shards: 2})
+		d, err := db.Open(db.Config{Dir: dir, CheckpointBytes: -1, Shards: 2})
 		if err != nil {
 			return nil, Table{}, err
 		}

@@ -182,7 +182,7 @@ func (b Bound) String() string {
 // has LowKey == empty and HighKey == +infinity.
 //
 // The paper derives these ranges implicitly from the split history of each
-// node; we store them explicitly (see DESIGN.md, "Faithfulness note"). The
+// node; we store them explicitly (§3.4-3.5 define the node rectangles). The
 // §3.5 Index Node Keyspace Split Rule speaks directly in terms of the
 // "upper bound" and "lower bound" of each entry's key range, so the
 // information content is identical.

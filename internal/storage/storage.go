@@ -282,6 +282,36 @@ type PageDevice interface {
 	Stats() MagneticStats
 }
 
+// MagneticImage is a deep copy of a MagneticDisk's full state: every
+// page, the allocator, and the accounting. Equivalence tests compare two
+// disks through it.
+type MagneticImage struct {
+	PageSize int
+	Pages    [][]byte // nil = unwritten or freed
+	Live     []bool
+	Free     []uint64
+	Stats    MagneticStats
+}
+
+// Image captures the disk's current state.
+func (d *MagneticDisk) Image() MagneticImage {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	img := MagneticImage{
+		PageSize: d.pageSize,
+		Pages:    make([][]byte, len(d.pages)),
+		Live:     append([]bool(nil), d.live...),
+		Free:     append([]uint64(nil), d.free...),
+		Stats:    d.stats,
+	}
+	for i, p := range d.pages {
+		if p != nil {
+			img.Pages[i] = append([]byte(nil), p...)
+		}
+	}
+	return img
+}
+
 var _ PageDevice = (*MagneticDisk)(nil)
 
 // WORMDevice is the historical-device contract the trees build on: the

@@ -264,3 +264,36 @@ func (d *WORMDisk) Stats() WORMStats {
 	defer d.mu.Unlock()
 	return d.stats
 }
+
+// WORMImage is a deep copy of a WORMDisk's full state: every sector, the
+// extent reservation, the library geometry, and the accounting.
+// Equivalence tests compare two devices through it.
+type WORMImage struct {
+	SectorSize     int
+	Sectors        [][]byte // nil = unburned
+	Reserved       uint64
+	PlatterSectors uint64
+	Drives         int
+	Stats          WORMStats
+}
+
+// Image captures the device's current state. Mounted-platter state is
+// transient and not captured.
+func (d *WORMDisk) Image() WORMImage {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	img := WORMImage{
+		SectorSize:     d.sectorSize,
+		Sectors:        make([][]byte, len(d.sectors)),
+		Reserved:       d.reserved,
+		PlatterSectors: d.platterSectors,
+		Drives:         d.drives,
+		Stats:          d.stats,
+	}
+	for i, s := range d.sectors {
+		if s != nil {
+			img.Sectors[i] = append([]byte(nil), s...)
+		}
+	}
+	return img
+}

@@ -9,18 +9,12 @@ import (
 	"repro/internal/storage"
 )
 
-// CheckpointFormatVersion identifies the logical checkpoint format.
-// Versions 1 and 2 were the gob whole-image quiescent checkpoints of
-// db.SaveTo; version 3 is the incremental-friendly logical form: a
-// CRC-framed dump of every committed version, per shard, plus the LSN
-// the log was rotated at.
-const CheckpointFormatVersion = 3
-
-// PagedCheckpointFormatVersion identifies the paged checkpoint format:
-// no version chunks — the database pages live in the device files
+// PagedCheckpointFormatVersion identifies the checkpoint format: no
+// version data — the database pages live in the device files
 // (internal/pagestore), flushed before the checkpoint is installed —
 // only a PagedMeta frame reattaching the engine to them at the
-// page-consistent boundary the footer seals.
+// page-consistent boundary the footer seals. Versions 1 and 2 (gob
+// whole images) and 3 (logical version dumps) are rejected on read.
 const PagedCheckpointFormatVersion = 4
 
 const (
@@ -28,43 +22,36 @@ const (
 	checkpointTmpName = "CHECKPOINT.tmp"
 )
 
-// checkpointChunk bounds how many versions one shard-chunk frame
-// carries, so a frame stays a bounded unit of work and corruption loss.
-const checkpointChunk = 512
-
-// CheckpointInfo is the header of a checkpoint: everything recovery
-// needs before it streams the version chunks.
+// CheckpointInfo is the content of a checkpoint: the header fields
+// recovery validates the configuration against, plus the device/tree
+// metadata it reattaches from.
 type CheckpointInfo struct {
-	// Shards is the key-range shard count the dump is partitioned by;
+	// Shards is the key-range shard count the trees are partitioned by;
 	// a durable database reopens with the same count.
 	Shards int
-	// Clock is the commit clock at the rotation boundary: every commit
-	// at or before it is fully contained in the dump.
+	// Clock is the commit clock at the boundary: every commit at or
+	// before it is contained in the checkpointed pages.
 	Clock record.Timestamp
-	// LSN is the rotation boundary: log records at or below it are
-	// exactly the dump's contents (dumps are boundary-exact — nothing
-	// stamped after Clock is included, so the log tail past this LSN is
-	// replayed unconditionally), and segments wholly at or below it are
-	// deleted after the checkpoint lands.
+	// LSN is the rotation boundary: replay starts past it, and segments
+	// wholly at or below it are deleted after the checkpoint lands.
 	LSN uint64
 	// Secondaries names the secondary indexes registered when the
-	// checkpoint was taken; reopening requires an extractor per name.
+	// checkpoint was taken, sorted; reopening requires an extractor per
+	// name.
 	Secondaries []string
-	// Paged is the device/tree metadata of a paged (format v4)
-	// checkpoint, nil for a logical (v3) one. A paged checkpoint has no
-	// version chunks: the committed database is the device files
-	// themselves, page-consistent at this boundary.
+	// Paged is the device/tree metadata. WriteCheckpoint requires it
+	// and ReadCheckpointInfo always returns it for a found checkpoint.
 	Paged *PagedMeta
 }
 
-// WriteCheckpoint durably writes a checkpoint: header, then every
-// shard's committed versions (dump(i) must return them boundary-exact —
-// nothing stamped after info.Clock — and sorted so commit times never
-// decrease; reload applies all shards in one globally time-sorted
-// pass), then a footer proving completeness, all CRC-framed, fsynced to
-// a temporary file and atomically renamed into place. wrap is the
+// WriteCheckpoint durably writes a checkpoint — header, paged metadata,
+// and a footer proving completeness, all CRC-framed — fsynced to a
+// temporary file and atomically renamed into place. wrap is the
 // fault-injection seam (may be nil).
-func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, info CheckpointInfo, dump func(shard int) ([]record.Version, error)) (err error) {
+func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, info CheckpointInfo) (err error) {
+	if info.Paged == nil {
+		return fmt.Errorf("wal: checkpoint without paged metadata")
+	}
 	tmpPath := filepath.Join(dir, checkpointTmpName)
 	raw, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -81,20 +68,9 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 		}
 	}()
 
-	write := func(payload []byte) error {
-		if _, werr := f.Write(appendFrame(nil, payload)); werr != nil {
-			return fmt.Errorf("wal: write checkpoint: %w", werr)
-		}
-		return nil
-	}
-
-	version := uint64(CheckpointFormatVersion)
-	if info.Paged != nil {
-		version = PagedCheckpointFormatVersion
-	}
 	e := record.NewEncoder(nil)
 	e.Byte(frameCheckpointHeader)
-	e.Uvarint(version)
+	e.Uvarint(PagedCheckpointFormatVersion)
 	e.Uvarint(uint64(info.Shards))
 	e.Time(info.Clock)
 	e.Uvarint(info.LSN)
@@ -102,42 +78,15 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 	for _, name := range info.Secondaries {
 		e.Blob([]byte(name))
 	}
-	if err = write(e.Bytes()); err != nil {
-		return err
-	}
-
-	if info.Paged != nil {
-		// A paged checkpoint carries no versions: the database pages
-		// are already flushed into the device files. Only the
-		// reattachment metadata is written.
-		if err = write(encodePagedMeta(info.Paged)); err != nil {
-			return err
-		}
-	} else {
-		for shard := 0; shard < info.Shards; shard++ {
-			vs, derr := dump(shard)
-			if derr != nil {
-				err = fmt.Errorf("wal: checkpoint dump of shard %d: %w", shard, derr)
-				return err
-			}
-			for base := 0; base < len(vs); base += checkpointChunk {
-				end := min(base+checkpointChunk, len(vs))
-				e := record.NewEncoder(nil)
-				e.Byte(frameShardChunk)
-				e.Uvarint(uint64(shard))
-				e.Versions(vs[base:end])
-				if err = write(e.Bytes()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
+	buf := appendFrame(nil, e.Bytes())
+	buf = appendFrame(buf, encodePagedMeta(info.Paged))
 	e = record.NewEncoder(nil)
 	e.Byte(frameCheckpointFooter)
 	e.Uvarint(info.LSN)
-	if err = write(e.Bytes()); err != nil {
-		return err
+	buf = appendFrame(buf, e.Bytes())
+
+	if _, err = f.Write(buf); err != nil {
+		return fmt.Errorf("wal: write checkpoint: %w", err)
 	}
 	if err = f.Sync(); err != nil {
 		return fmt.Errorf("wal: sync checkpoint: %w", err)
@@ -152,13 +101,11 @@ func WriteCheckpoint(dir string, wrap func(storage.LogFile) storage.LogFile, inf
 	return nil
 }
 
-// ReadCheckpoint reads dir's checkpoint, streaming each shard chunk's
-// versions through apply (in file order, which per shard is commit-time
-// order). found=false means no checkpoint exists (a fresh or
-// pre-first-checkpoint directory). A checkpoint is only ever installed
-// complete, so a torn or incomplete one is corruption, not a crash
-// artifact: the error says so.
-func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error) (info CheckpointInfo, found bool, err error) {
+// ReadCheckpointInfo reads dir's checkpoint. found=false means no
+// checkpoint exists (a fresh or pre-first-checkpoint directory). A
+// checkpoint is only ever installed complete, so a torn or incomplete
+// one is corruption, not a crash artifact: the error says so.
+func ReadCheckpointInfo(dir string) (info CheckpointInfo, found bool, err error) {
 	buf, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if os.IsNotExist(err) {
 		return CheckpointInfo{}, false, nil
@@ -166,8 +113,19 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 	if err != nil {
 		return CheckpointInfo{}, false, err
 	}
+	info, err = decodeCheckpoint(buf)
+	if err != nil {
+		return CheckpointInfo{}, false, err
+	}
+	return info, true, nil
+}
+
+// decodeCheckpoint parses and validates the bytes of a checkpoint file.
+// Every count it acts on is checked against the shape the engine can
+// reattach to: 1..record.MaxShards shards, one tree image per shard,
+// and exactly the header's (sorted, distinct) secondary-index names.
+func decodeCheckpoint(buf []byte) (info CheckpointInfo, err error) {
 	sawHeader, sawFooter := false, false
-	version := uint64(0)
 	clean, err := parseFrames(buf, func(payload []byte) error {
 		d := record.NewDecoder(payload)
 		switch typ := d.Byte(); typ {
@@ -176,26 +134,33 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 				return fmt.Errorf("wal: duplicate checkpoint header")
 			}
 			sawHeader = true
-			if version = d.Uvarint(); version != CheckpointFormatVersion && version != PagedCheckpointFormatVersion {
-				return fmt.Errorf("wal: checkpoint format %d, want %d or %d",
-					version, CheckpointFormatVersion, PagedCheckpointFormatVersion)
+			if version := d.Uvarint(); version != PagedCheckpointFormatVersion {
+				return fmt.Errorf("wal: checkpoint format %d, want %d", version, PagedCheckpointFormatVersion)
 			}
-			info.Shards = int(d.Uvarint())
+			shards := d.Uvarint()
 			info.Clock = d.Time()
 			info.LSN = d.Uvarint()
 			n := d.Uvarint()
 			if n > uint64(d.Remaining()) {
 				return fmt.Errorf("wal: checkpoint header: %d secondaries", n)
 			}
-			for i := uint64(0); i < n; i++ {
-				info.Secondaries = append(info.Secondaries, string(d.Blob()))
+			for i := uint64(0); i < n && d.Err() == nil; i++ {
+				name := string(d.Blob())
+				if i > 0 && name <= info.Secondaries[i-1] {
+					return fmt.Errorf("wal: checkpoint header: secondary names not sorted and distinct")
+				}
+				info.Secondaries = append(info.Secondaries, name)
 			}
 			if err := d.Err(); err != nil {
 				return fmt.Errorf("wal: checkpoint header: %w", err)
 			}
+			if shards < 1 || shards > record.MaxShards {
+				return fmt.Errorf("wal: checkpoint header: %d shards, want 1..%d", shards, record.MaxShards)
+			}
+			info.Shards = int(shards)
 			return nil
 		case framePagedMeta:
-			if !sawHeader || sawFooter || version != PagedCheckpointFormatVersion {
+			if !sawHeader || sawFooter {
 				return fmt.Errorf("wal: misplaced paged-meta frame")
 			}
 			if info.Paged != nil {
@@ -209,24 +174,17 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 				return fmt.Errorf("wal: paged meta has %d shard images, header says %d",
 					len(m.Shards), info.Shards)
 			}
+			if len(m.Secondaries) != len(info.Secondaries) {
+				return fmt.Errorf("wal: paged meta has %d secondary images, header names %d",
+					len(m.Secondaries), len(info.Secondaries))
+			}
+			for _, name := range info.Secondaries {
+				if _, ok := m.Secondaries[name]; !ok {
+					return fmt.Errorf("wal: paged meta has no image for secondary %q", name)
+				}
+			}
 			info.Paged = m
 			return nil
-		case frameShardChunk:
-			if !sawHeader || sawFooter || version != CheckpointFormatVersion {
-				return fmt.Errorf("wal: checkpoint chunk outside header/footer")
-			}
-			shard := int(d.Uvarint())
-			vs := d.Versions()
-			if err := d.Err(); err != nil {
-				return fmt.Errorf("wal: checkpoint chunk: %w", err)
-			}
-			if shard < 0 || shard >= info.Shards {
-				return fmt.Errorf("wal: checkpoint chunk for shard %d of %d", shard, info.Shards)
-			}
-			if apply == nil {
-				return nil
-			}
-			return apply(shard, vs)
 		case frameCheckpointFooter:
 			if !sawHeader || sawFooter {
 				return fmt.Errorf("wal: misplaced checkpoint footer")
@@ -241,19 +199,13 @@ func ReadCheckpoint(dir string, apply func(shard int, vs []record.Version) error
 		}
 	})
 	if err != nil {
-		return CheckpointInfo{}, false, err
+		return CheckpointInfo{}, err
 	}
 	if !clean || !sawHeader || !sawFooter {
-		return CheckpointInfo{}, false, fmt.Errorf("wal: checkpoint incomplete or corrupt")
+		return CheckpointInfo{}, fmt.Errorf("wal: checkpoint incomplete or corrupt")
 	}
-	if version == PagedCheckpointFormatVersion && info.Paged == nil {
-		return CheckpointInfo{}, false, fmt.Errorf("wal: paged checkpoint missing its meta frame")
+	if info.Paged == nil {
+		return CheckpointInfo{}, fmt.Errorf("wal: checkpoint missing its paged-meta frame")
 	}
-	return info, true, nil
-}
-
-// ReadCheckpointInfo reads only the checkpoint header (still verifying
-// every frame's CRC) — the inspection path for tools.
-func ReadCheckpointInfo(dir string) (CheckpointInfo, bool, error) {
-	return ReadCheckpoint(dir, nil)
+	return info, nil
 }

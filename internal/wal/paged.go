@@ -1,15 +1,14 @@
 package wal
 
-// Checkpoint format v4: the paged-device checkpoint. Where the logical
-// v3 checkpoint carries the whole committed database as version chunks,
-// a v4 checkpoint carries only the metadata that reattaches the engine
-// to its file-backed devices (internal/pagestore) at a page-consistent
-// boundary — the page allocator, the WORM burned-sector boundary, the
-// cumulative device accounting, and each tree's image (root pointer,
-// clock, counters, §3.5 marked set). The pages themselves were flushed
-// and fsynced into the device files before this metadata is installed,
-// so recovery is: restore any torn flush from the rollback journal,
-// reattach, replay the WAL tail past the boundary LSN.
+// Checkpoint format v4: the paged-device checkpoint. It carries only the
+// metadata that reattaches the engine to its file-backed devices
+// (internal/pagestore) at a page-consistent boundary — the page
+// allocator, the WORM burned-sector boundary, the cumulative device
+// accounting, and each tree's image (root pointer, clock, counters,
+// §3.5 marked set). The pages themselves were flushed and fsynced into
+// the device files before this metadata is installed, so recovery is:
+// restore any torn flush from the rollback journal, reattach, replay the
+// WAL tail past the boundary LSN.
 
 import (
 	"fmt"
@@ -53,8 +52,7 @@ type PagedMeta struct {
 	// whose uncommitted pending versions the flushed pages may contain
 	// (§4: uncommitted data lives, erasable, in the current database).
 	// Those transactions died with the crash, so recovery erases each
-	// pending version before replaying the WAL tail — the paged
-	// equivalent of the logical dump's pending filter.
+	// pending version before replaying the WAL tail.
 	Pending []txn.PendingWrite
 	// GroupLSNs holds the per-shard capture boundary of a fuzzy
 	// checkpoint: shard i's image and dirty pages were captured with the

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/record"
@@ -240,98 +239,6 @@ func TestAppendAfterTornWriteFailsFast(t *testing.T) {
 		t.Fatalf("replay after tear = %+v", got)
 	}
 	l.Close()
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	vs := func(shard int) []record.Version {
-		var out []record.Version
-		for i := 0; i < 700; i++ { // > checkpointChunk: forces chunking
-			out = append(out, record.Version{
-				Key:   record.StringKey(string(rune('a'+shard)) + "key"),
-				Time:  record.Timestamp(i + 1),
-				Value: []byte{byte(shard), byte(i)},
-			})
-		}
-		return out
-	}
-	info := CheckpointInfo{Shards: 2, Clock: 700, LSN: 41, Secondaries: []string{"dept"}}
-	err := WriteCheckpoint(dir, nil, info, func(shard int) ([]record.Version, error) {
-		return vs(shard), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int][]record.Version{}
-	gotInfo, found, err := ReadCheckpoint(dir, func(shard int, chunk []record.Version) error {
-		got[shard] = append(got[shard], chunk...)
-		return nil
-	})
-	if err != nil || !found {
-		t.Fatalf("read: found=%v err=%v", found, err)
-	}
-	if gotInfo.Shards != 2 || gotInfo.Clock != 700 || gotInfo.LSN != 41 ||
-		len(gotInfo.Secondaries) != 1 || gotInfo.Secondaries[0] != "dept" {
-		t.Fatalf("info = %+v", gotInfo)
-	}
-	for shard := 0; shard < 2; shard++ {
-		want := vs(shard)
-		if len(got[shard]) != len(want) {
-			t.Fatalf("shard %d: %d versions, want %d", shard, len(got[shard]), len(want))
-		}
-		for i := range want {
-			g := got[shard][i]
-			if !g.Key.Equal(want[i].Key) || g.Time != want[i].Time || string(g.Value) != string(want[i].Value) {
-				t.Fatalf("shard %d version %d = %+v, want %+v", shard, i, g, want[i])
-			}
-		}
-	}
-	// Header-only read agrees.
-	hdr, found, err := ReadCheckpointInfo(dir)
-	if err != nil || !found || hdr.LSN != 41 {
-		t.Fatalf("info read: %+v found=%v err=%v", hdr, found, err)
-	}
-}
-
-func TestCheckpointAbsentAndTorn(t *testing.T) {
-	dir := t.TempDir()
-	if _, found, err := ReadCheckpoint(dir, nil); err != nil || found {
-		t.Fatalf("empty dir: found=%v err=%v", found, err)
-	}
-
-	// A torn checkpoint write never installs: the tmp file stays and is
-	// ignored by readers.
-	plan := storage.NewTearPlan(30)
-	err := WriteCheckpoint(dir,
-		func(f storage.LogFile) storage.LogFile { return storage.NewTornLogFile(f, plan) },
-		CheckpointInfo{Shards: 1, Clock: 3, LSN: 7},
-		func(int) ([]record.Version, error) {
-			return []record.Version{{Key: record.StringKey("k"), Time: 1, Value: []byte("v")}}, nil
-		})
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("torn checkpoint error = %v", err)
-	}
-	if _, found, err := ReadCheckpoint(dir, nil); err != nil || found {
-		t.Fatalf("after torn write: found=%v err=%v", found, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, checkpointName)); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint file should not exist: %v", err)
-	}
-
-	// An installed checkpoint that is then corrupted is a hard error.
-	err = WriteCheckpoint(dir, nil, CheckpointInfo{Shards: 1, Clock: 3, LSN: 7},
-		func(int) ([]record.Version, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, checkpointName)
-	buf, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, buf[:len(buf)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadCheckpoint(dir, nil); err == nil {
-		t.Fatal("truncated installed checkpoint should be a hard error")
-	}
 }
 
 func TestOpenContinuesLSNAfterRecovery(t *testing.T) {
