@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/obs"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/server/client"
 )
@@ -99,7 +100,7 @@ func TestSIGTERMDrainMidPipeline(t *testing.T) {
 			}
 			defer func() { _ = c.Close() }()
 			// Leave a cursor open so drain must also reap cursor state.
-			if sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{}); err == nil {
+			if sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{}); err == nil {
 				defer func() { _ = sc.Close() }()
 			}
 			type inflight struct {

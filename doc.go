@@ -53,7 +53,8 @@
 //     of docs/ARCHITECTURE.md for the metric scheme);
 //   - internal/server: the network service layer — a pipelined binary
 //     protocol over TCP (server/wire), session read snapshots, leased
-//     server-side cursors, per-tenant key-prefix namespaces, and
+//     server-side query cursors (every served scan is a query spec),
+//     per-tenant key-prefix namespaces, and
 //     watermark-based admission shedding — with the Go client in
 //     server/client and the daemon in cmd/tsbserve (see the "Service
 //     layer" section of docs/ARCHITECTURE.md).
@@ -118,16 +119,19 @@
 // Range reads stream: db.Cursor / txn.ReadTxn.Cursor (and the iter.Seq2
 // form, Range) yield a snapshot lazily, page by page, with
 // ScanOptions{Limit, Reverse, After, At, From, To} — pagination,
-// descending order, per-scan time travel, and temporal windows. A cursor
-// holds no latch between Next calls; each Next read-latches at most one
-// shard — for a single leaf-page fetch (snapshot cursors), or for one
-// shard's materialized window scan (From/To cursors) — so a Limit=1 read
-// over a 100k-version snapshot costs O(tree height) page reads
-// (BenchmarkCursorLimit1). The slice-returning scan APIs survive as thin
-// Collect wrappers. Composed queries (db.Query, internal/query) stack
+// descending order, per-scan time travel, and temporal windows. Every
+// scan is a sequence of two page primitives, ScanPageAsOf (one leaf's
+// visible versions at a time) and ScanRangePage (one current leaf's keys
+// over a time window), in either direction: a cursor holds no latch
+// between Next calls, and each Next read-latches at most one shard for
+// one page, so a Limit=1 read over a 100k-version snapshot costs
+// O(tree height) page reads (BenchmarkCursorLimit1), forward or reverse,
+// snapshot or window. Composed queries (db.Query, internal/query) stack
 // streaming operators on those cursors and inherit the contract
-// unchanged; experiment E17 (`tsbench -exp E17`) measures the filter
-// pushdown's page-read gap and the parallel per-shard scan speedup.
+// unchanged — history, diff, and secondary-index fetches are query
+// specs, not separate helpers; experiment E17 (`tsbench -exp E17`)
+// measures the filter pushdown's page-read gap and the parallel
+// per-shard scan speedup.
 //
 // The benchmarks in bench_test.go regenerate every experiment and the
 // shard-scaling curves; the binaries under cmd/ print the experiment

@@ -88,7 +88,7 @@ func main() {
 	// Audit: at every sampled moment the bank's total is conserved —
 	// that is the stepwise-constant semantics doing its job.
 	for _, at := range []record.Timestamp{openingDay, midDay, d.Now()} {
-		vs, err := d.ScanAsOf(at, nil, record.InfiniteBound())
+		vs, err := d.ReadAt(at).Scan(nil, record.InfiniteBound())
 		if err != nil {
 			log.Fatal(err)
 		}

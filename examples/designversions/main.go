@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"repro/internal/db"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -87,24 +88,30 @@ func main() {
 		fmt.Printf("  %-9s q1=%-3d now=%-3d\n", s, atQ1, now)
 	}
 
-	// Fetch records currently in review, resolved through the primary
-	// index by <primary key, timestamp> — streamed with a cursor, so
-	// showing three examples fetches three records, not all of them.
+	// Fetch records currently in review: the secondary lookup yields the
+	// primary keys, and the join over a plain scan reads each one with
+	// its own point cursor, so showing three examples reads three
+	// records' pages, not the whole primary index.
 	total, err := d.CountSecondary("status", record.StringKey("review"), d.Now())
 	if err != nil {
 		log.Fatal(err)
 	}
-	rcur, err := d.FetchBySecondaryCursor("status", record.StringKey("review"), d.Now(), db.ScanOptions{Limit: 3})
+	inReview, err := d.Query(query.Scan(nil, record.InfiniteBound()).
+		JoinSecondary("status", record.StringKey("review"), 0).
+		WithLimit(3))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%d parts in review now; e.g.:\n", total)
-	for rcur.Next() {
-		v := rcur.Version()
+	for inReview.Next() {
+		v := inReview.Row().Versions[0]
 		fmt.Printf("  %s = %s\n", v.Key, v.Value)
 	}
-	if rcur.Err() != nil {
-		log.Fatal(rcur.Err())
+	if err := inReview.Err(); err != nil {
+		log.Fatal(err)
+	}
+	if err := inReview.Close(); err != nil {
+		log.Fatal(err)
 	}
 	if total > 3 {
 		fmt.Println("  ...")

@@ -34,8 +34,8 @@ type Page struct {
 
 // Advance applies the page's resume contract to a scan window: it
 // returns the shrunk (low, high) window for the next page and whether
-// the scan is finished. Every pager (core.Cursor, the txn cursor) goes
-// through this single copy of the contract.
+// the scan is finished. Both cursors over pages (core.Cursor and the
+// txn cursor) go through this single copy of the contract.
 func (p Page) Advance(low record.Key, high record.Bound, reverse bool) (record.Key, record.Bound, bool) {
 	switch {
 	case !p.More:
@@ -59,84 +59,80 @@ func (p Page) Advance(low record.Key, high record.Bound, reverse bool) (record.K
 // (key, at) point lives in exactly one leaf: pages never overlap and no
 // deduplication across pages is needed.
 func (t *Tree) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (Page, error) {
-	if reverse {
-		return t.scanPageReverse(at, low, high)
-	}
-	// Descend to the leaf containing the point (low, at), tracking the
-	// clip (the intersection of entry rectangles along the path): a
-	// shared historical node owns only the keys inside the clip.
-	clip := record.WholeSpace()
-	n, err := t.readNode(t.root)
-	if err != nil {
+	n, clip, err := t.descendPage(at, low, high, reverse)
+	if err != nil || n == nil {
+		// No slab covers the window edge at time at: nothing is visible.
 		return Page{}, err
 	}
-	for !n.leaf {
-		next := -1
-		var sub record.Rect
-		for i, e := range n.entries {
-			s, ok := e.rect.Intersect(clip)
-			if ok && s.Contains(low, at) {
-				next, sub = i, s
-				break
-			}
-		}
-		if next < 0 {
-			// No slab covers (low, at): nothing is visible there.
-			return Page{}, nil
-		}
-		clip = sub
-		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
-		}
-	}
-	p := Page{Versions: visibleInLeaf(n, at, low, high, clip)}
-	if !clip.HighKey.IsInfinite() {
-		next := clip.HighKey.Key()
-		if high.CompareKey(next) > 0 {
-			p.NextLow = next.Clone()
-			p.More = true
-		}
+	p := pageEdge(clip, low, high, reverse)
+	p.Versions = visibleInLeaf(n, at, low, high, clip)
+	if reverse {
+		slices.Reverse(p.Versions)
 	}
 	return p, nil
 }
 
-// scanPageReverse descends to the leaf responsible for the greatest keys
-// of the window at time at: at each index node it takes the matching
-// entry with the greatest low key (entries are sorted by (LowKey, Start),
-// and at a fixed time the slabs partition the key space, so scanning
-// from the end finds it first).
-func (t *Tree) scanPageReverse(at record.Timestamp, low record.Key, high record.Bound) (Page, error) {
+// descendPage is the one root-to-leaf descent of every page primitive:
+// it finds the leaf responsible for the edge of the window [low, high)
+// at time at — the leaf containing (low, at) forward; in reverse, the
+// matching entry with the greatest low key at each index node (entries
+// are sorted by (LowKey, Start), and at a fixed time the slabs partition
+// the key space, so scanning from the end finds it first). clip is the
+// intersection of the entry rectangles along the path: a shared
+// historical node owns only the keys inside it. A nil node means no
+// slab covers the edge at time at.
+func (t *Tree) descendPage(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (*node, record.Rect, error) {
 	clip := record.WholeSpace()
 	n, err := t.readNode(t.root)
 	if err != nil {
-		return Page{}, err
+		return nil, clip, err
 	}
 	for !n.leaf {
 		next := -1
 		var sub record.Rect
-		for i := len(n.entries) - 1; i >= 0; i-- {
+		for j := range n.entries {
+			i := j
+			if reverse {
+				i = len(n.entries) - 1 - j
+			}
 			s, ok := n.entries[i].rect.Intersect(clip)
-			if ok && s.ContainsTime(at) && s.OverlapsKeyRange(low, high) {
+			if !ok || !s.ContainsTime(at) {
+				continue
+			}
+			if reverse && s.OverlapsKeyRange(low, high) || !reverse && s.ContainsKey(low) {
 				next, sub = i, s
 				break
 			}
 		}
 		if next < 0 {
-			return Page{}, nil
+			return nil, clip, nil
 		}
 		clip = sub
 		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
+			return nil, clip, err
 		}
 	}
-	vs := visibleInLeaf(n, at, low, high, clip)
-	slices.Reverse(vs)
-	p := Page{Versions: vs}
-	if len(clip.LowKey) > 0 && low.Compare(clip.LowKey) < 0 {
-		p.NextHigh = record.KeyBound(clip.LowKey.Clone())
-		p.More = true
+	return n, clip, nil
+}
+
+// pageEdge returns the resume edge of a page whose leaf owns the keys of
+// clip: the leaf's high key forward, its low key in reverse, whenever
+// the window extends past it.
+func pageEdge(clip record.Rect, low record.Key, high record.Bound, reverse bool) Page {
+	var p Page
+	switch {
+	case reverse:
+		if len(clip.LowKey) > 0 && low.Compare(clip.LowKey) < 0 {
+			p.NextHigh = record.KeyBound(clip.LowKey.Clone())
+			p.More = true
+		}
+	case !clip.HighKey.IsInfinite():
+		if next := clip.HighKey.Key(); high.CompareKey(next) > 0 {
+			p.NextLow = next.Clone()
+			p.More = true
+		}
 	}
-	return p, nil
+	return p
 }
 
 // visibleInLeaf collects the leaf's versions visible at time at with keys

@@ -73,6 +73,9 @@ func encodeNode(n *node) []byte {
 func decodeNode(data []byte, addr storage.Addr) (*node, error) {
 	d := record.NewDecoder(data)
 	kind := d.Byte()
+	if d.Err() == nil && kind != nodeKindLeaf && kind != nodeKindIndex {
+		return nil, fmt.Errorf("core: node %s: %w: node kind %d", addr, record.ErrCorrupt, kind)
+	}
 	n := &node{addr: addr, leaf: kind == nodeKindLeaf}
 	n.rect = d.Rect()
 	count := d.Uvarint()

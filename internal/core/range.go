@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/record"
@@ -116,61 +117,45 @@ func (t *Tree) HistoryRange(k record.Key, from, to record.Timestamp) ([]record.V
 
 // ScanRangePage returns one key-paged batch of the temporal range query:
 // the ScanRange result restricted to the keys owned by the single current
-// leaf responsible for `low`, found by one root-to-leaf descent. The
-// page's NextLow shrinks the window for the following call (the same
-// resume contract as ScanPageAsOf), so repeated calls enumerate
-// ScanRange(low, high, from, to) exactly once, in (key, time) order,
-// with bounded work per call — the time-window pushdown that lets a
-// window cursor stream under incremental latch hand-offs instead of
-// materializing a whole shard part.
+// leaf responsible for the window edge (low forward, the high edge in
+// reverse), found by one root-to-leaf descent. The page's NextLow (or
+// NextHigh in reverse) shrinks the window for the following call — the
+// ScanPageAsOf resume contract — so repeated calls enumerate
+// ScanRange(low, high, from, to) exactly once, in (key, time) order
+// (descending when reverse), with bounded work per call: the time-window
+// pushdown that lets a window cursor stream in either direction under
+// incremental latch hand-offs.
 //
 // Pages are split on the *current* key partition (the slabs alive at
 // TimePending partition the key space and are the most finely key-split
 // slices of the tree), so one page covers at most one current leaf's
 // key range, however many historical versions those keys accumulated.
-func (t *Tree) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (Page, error) {
+func (t *Tree) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp, reverse bool) (Page, error) {
 	if to <= from {
 		return Page{}, nil
 	}
-	clip := record.WholeSpace()
-	n, err := t.readNode(t.root)
+	n, clip, err := t.descendPage(record.TimePending, low, high, reverse)
 	if err != nil {
 		return Page{}, err
 	}
-	for !n.leaf {
-		next := -1
-		var sub record.Rect
-		for i, e := range n.entries {
-			s, ok := e.rect.Intersect(clip)
-			if ok && s.Contains(low, record.TimePending) {
-				next, sub = i, s
-				break
-			}
-		}
-		if next < 0 {
-			// No current slab covers low (defensive — the current slabs
-			// partition the key space): serve the remainder in one piece.
-			vs, err := t.ScanRange(low, high, from, to)
-			return Page{Versions: vs}, err
-		}
-		clip = sub
-		if n, err = t.readNode(n.entries[next].child); err != nil {
-			return Page{}, err
+	var p Page
+	pageLow, pageHigh := low, high
+	if n != nil {
+		p = pageEdge(clip, low, high, reverse)
+		if p.More && reverse {
+			pageLow = clip.LowKey
+		} else if p.More {
+			pageHigh = record.KeyBound(p.NextLow)
 		}
 	}
-	p := Page{}
-	pageHigh := high
-	if !clip.HighKey.IsInfinite() {
-		next := clip.HighKey.Key()
-		if high.CompareKey(next) > 0 {
-			pageHigh = record.KeyBound(next.Clone())
-			p.NextLow = next.Clone()
-			p.More = true
-		}
-	}
-	vs, err := t.ScanRange(low, pageHigh, from, to)
+	// n == nil (no current slab covers the edge) is defensive — the
+	// current slabs partition the key space: the page is the remainder.
+	vs, err := t.ScanRange(pageLow, pageHigh, from, to)
 	if err != nil {
 		return Page{}, err
+	}
+	if reverse {
+		slices.Reverse(vs)
 	}
 	p.Versions = vs
 	return p, nil

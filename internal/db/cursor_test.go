@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -44,8 +44,8 @@ func reversed(vs []record.Version) []record.Version {
 
 // TestCursorEquivalenceProperty is the multi-shard equivalence property
 // test of the streaming read API: forward, reverse, limited, and
-// windowed cursors must be byte-identical to the materializing scans
-// under every shard count.
+// windowed cursors, query.Diff, and DB.History must be byte-identical to
+// core's recursive reference scans under every shard count.
 func TestCursorEquivalenceProperty(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -74,8 +74,8 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					high = record.KeyBound(spreadKey(uint64(rng.Intn(keySpace))))
 				}
 
-				// Oracle: the recursive, materializing store scan.
-				want, err := d.store.ScanAsOf(at, low, high)
+				// Oracle: the recursive reference scan, per shard.
+				want, err := refScanAsOf(d, at, low, high)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,29 +106,14 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					cursorSameVersions(t, "limit", gotLim, wantLim)
 				}
 
-				// The legacy slice API is a wrapper over the same
-				// cursor; it must agree with the oracle too.
-				legacy, err := d.ScanAsOf(at, low, high)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cursorSameVersions(t, "legacy-scan", legacy, want)
-
-				// Window mode: per-shard lazy parts against the
-				// per-shard materializing oracle. From starts at 1:
-				// From=To=0 is the "no window" sentinel, not a window.
+				// Window mode: the paged window cursor against the
+				// per-shard reference. From starts at 1: From=To=0 is
+				// the "no window" sentinel, not a window.
 				from := record.Timestamp(1 + rng.Intn(now))
 				to := from + record.Timestamp(rng.Intn(now))
-				var wantWin []record.Version
-				for i := 0; i < shards; i++ {
-					err := d.WithShardTree(i, func(tr *core.Tree) error {
-						vs, err := tr.ScanRange(low, high, from, to)
-						wantWin = append(wantWin, vs...)
-						return err
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
+				wantWin, err := refScanRange(d, low, high, from, to)
+				if err != nil {
+					t.Fatal(err)
 				}
 				gotWin, err := d.Cursor(low, high, ScanOptions{From: from, To: to}).Collect()
 				if err != nil {
@@ -140,6 +125,33 @@ func TestCursorEquivalenceProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				cursorSameVersions(t, "window-reverse", gotWinRev, reversed(wantWin))
+
+				// query.Diff folds the same window stream; core's
+				// Tree.Diff per shard is its oracle.
+				wantDiff, err := refDiff(d, low, high, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotDiff, err := queryDiff(d, low, high, from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameChanges(gotDiff, wantDiff); err != nil {
+					t.Fatalf("diff: %v", err)
+				}
+
+				// DB.History collects the window cursor query.History
+				// runs on; core's recursive Tree.History is its oracle.
+				k := spreadKey(uint64(rng.Intn(keySpace)))
+				wantHist, err := refHistory(d, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotHist, err := d.History(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursorSameVersions(t, "history", gotHist, wantHist)
 			}
 		})
 	}
@@ -207,8 +219,9 @@ func TestAbandonedCursorDoesNotBlockWriters(t *testing.T) {
 // TestCursorLimit1PageReads is the acceptance check for lazy reads: over
 // a snapshot of >=100k versions, a Limit=1 cursor performs O(tree-depth)
 // page reads — measured at the buffer pool, through which every page
-// fetch passes — while the materializing scan reads the whole current
-// key space.
+// fetch passes — while a full scan reads the whole current key space.
+// Window cursors stream in both directions: a reverse Limit=1 window
+// cursor costs about what the forward one does, not a full window scan.
 func TestCursorLimit1PageReads(t *testing.T) {
 	// Small leaves keep the build fast and the tree deep: the point is
 	// the O(height) bound, not the leaf fan-out.
@@ -261,10 +274,10 @@ func TestCursorLimit1PageReads(t *testing.T) {
 		t.Fatalf("Limit=1 cursor read %d pages, want <= tree height %d + 1", reads, height)
 	}
 
-	// Contrast: the materializing scan must touch at least one page per
+	// Contrast: a full snapshot collect must touch at least one page per
 	// current leaf — orders of magnitude more than the cursor.
 	before = pageFetches()
-	all, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	all, err := d.ReadAt(d.Now()).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,6 +288,35 @@ func TestCursorLimit1PageReads(t *testing.T) {
 	if fullReads < 50*reads {
 		t.Fatalf("full scan read %d pages vs cursor %d: the cursor is not lazy", fullReads, reads)
 	}
+
+	// Window mode, over all of time: Limit=1 in either direction reads
+	// one current leaf's key range, while a full window collect reads
+	// every page.
+	windowReads := func(opts ScanOptions) uint64 {
+		t.Helper()
+		before := pageFetches()
+		vs, err := d.Cursor(nil, record.InfiniteBound(), opts).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Limit > 0 && len(vs) != opts.Limit {
+			t.Fatalf("window cursor %+v yielded %d versions", opts, len(vs))
+		}
+		return pageFetches() - before
+	}
+	window := ScanOptions{From: 1, To: record.TimeInfinity}
+	fullWindow := windowReads(window)
+	window.Limit = 1
+	fwd := windowReads(window)
+	window.Reverse = true
+	rev := windowReads(window)
+	if rev > 4*fwd {
+		t.Fatalf("reverse Limit=1 window cursor read %d pages vs forward %d: reverse does not stream", rev, fwd)
+	}
+	if fullWindow < 50*rev {
+		t.Fatalf("full window collect read %d pages vs reverse Limit=1 window cursor %d: the cursor is not lazy", fullWindow, rev)
+	}
+	t.Logf("page reads: window Limit=1 forward %d, reverse %d; full window %d", fwd, rev, fullWindow)
 }
 
 // TestBufferPagesContract pins the Config.BufferPages semantics: 0 means
@@ -308,8 +350,10 @@ func TestBufferPagesContract(t *testing.T) {
 	}
 }
 
-// TestSecondaryCursorEquivalence checks the streaming secondary fetch
-// against the legacy slice API, including Limit and Reverse.
+// TestSecondaryCursorEquivalence checks the streaming secondary fetch —
+// a primary scan semi-joined with the index lookup (JoinSecondary) —
+// against point reads of the looked-up keys, including Limit and
+// Reverse.
 func TestSecondaryCursorEquivalence(t *testing.T) {
 	d := open(t, Config{Shards: 2})
 	if err := d.CreateSecondary("dept", deptExtract); err != nil {
@@ -325,42 +369,110 @@ func TestSecondaryCursorEquivalence(t *testing.T) {
 		}
 	}
 	at := d.Now()
-	want, err := d.FetchBySecondary("dept", record.StringKey("dept1"), at)
+	want, err := refFetchBySecondary(d, "dept", record.StringKey("dept1"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("no records for dept1")
 	}
-	c, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{})
-	if err != nil {
-		t.Fatal(err)
+	fetch := func(reverse bool, limit uint64) []record.Version {
+		t.Helper()
+		scan := query.Scan(nil, record.InfiniteBound())
+		scan.Reverse = reverse
+		spec := scan.JoinSecondary("dept", record.StringKey("dept1"), at)
+		if limit > 0 {
+			spec = spec.WithLimit(limit)
+		}
+		op, err := d.QueryAt(at, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer op.Close()
+		var out []record.Version
+		for op.Next() {
+			out = append(out, op.Row().Versions...)
+		}
+		if err := op.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	got, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursorSameVersions(t, "secondary", got, want)
+	cursorSameVersions(t, "secondary", fetch(false, 0), want)
+	cursorSameVersions(t, "secondary-reverse", fetch(true, 0), reversed(want))
+	cursorSameVersions(t, "secondary-limit", fetch(false, 2), want[:2])
+}
 
-	rev, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{Reverse: true})
-	if err != nil {
+// TestSecondaryJoinPageReads pins the cost of a selective secondary
+// fetch (§3.6): a JoinSecondary over a plain scan reads about the index
+// lookup plus one root-to-leaf descent per match, not every primary leaf
+// between the first and last matching key.
+func TestSecondaryJoinPageReads(t *testing.T) {
+	d := open(t, Config{LeafCapacity: 512, IndexCapacity: 1024})
+	if err := d.CreateSecondary("dept", deptExtract); err != nil {
 		t.Fatal(err)
 	}
-	gotRev, err := rev.Collect()
-	if err != nil {
-		t.Fatal(err)
+	const (
+		keys   = 20_000
+		perTxn = 100
+	)
+	hits := map[int]bool{7: true, keys / 2: true, keys - 3: true}
+	for base := 0; base < keys; base += perTxn {
+		err := d.Update(func(tx *txn.Txn) error {
+			for i := base; i < base+perTxn; i++ {
+				val := []byte("x")
+				if hits[i] {
+					val = []byte("rare|payload")
+				}
+				if err := tx.Put(spreadKey(uint64(i)), val); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	cursorSameVersions(t, "secondary-reverse", gotRev, reversed(want))
+	at := d.Now()
+	height := d.Stats().Tree.Height
+	pageFetches := func() uint64 {
+		st := d.Stats().Buffer
+		return st.Hits + st.Misses
+	}
+	skey := record.StringKey("rare")
 
-	lim, err := d.FetchBySecondaryCursor("dept", record.StringKey("dept1"), at, ScanOptions{Limit: 2})
+	before := pageFetches()
+	want, err := refFetchBySecondary(d, "dept", skey, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLim, err := lim.Collect()
+	pointReads := pageFetches() - before
+	if len(want) != len(hits) {
+		t.Fatalf("reference fetch = %d records, want %d", len(want), len(hits))
+	}
+
+	before = pageFetches()
+	got, err := queryBySecondary(d, "dept", skey, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cursorSameVersions(t, "secondary-limit", gotLim, want[:2])
+	joinReads := pageFetches() - before
+	cursorSameVersions(t, "secondary join", got, want)
+	if limit := pointReads + uint64(len(hits)*(height+1)); joinReads > limit {
+		t.Fatalf("secondary join read %d pages, want <= %d (lookup + point reads %d, plus one descent of height %d per match)",
+			joinReads, limit, pointReads, height)
+	}
+
+	before = pageFetches()
+	if _, err := d.ReadAt(at).Scan(nil, record.InfiniteBound()); err != nil {
+		t.Fatal(err)
+	}
+	fullReads := pageFetches() - before
+	if fullReads < 50*joinReads {
+		t.Fatalf("full scan read %d pages vs secondary join %d: the join walks the primary index", fullReads, joinReads)
+	}
+	t.Logf("page reads: lookup + point gets %d, secondary join %d, full scan %d", pointReads, joinReads, fullReads)
 }
 
 // TestRangeIteratorThroughDB drives the iter.Seq2 form end to end,
@@ -375,7 +487,7 @@ func TestRangeIteratorThroughDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	want, err := refScanAsOf(d, d.Now(), nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}

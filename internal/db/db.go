@@ -120,22 +120,25 @@
 // Range reads are cursors: Cursor (and the iter.Seq2 form, Range) yields
 // a snapshot lazily, page by page, with ScanOptions{Limit, Reverse,
 // After, At, From, To} for pagination, descending order, per-scan time
-// travel, and temporal windows. The latch contract, precisely: a cursor
-// holds NO latch between Next calls. For snapshot cursors, each Next
-// read-latches at most one shard, for the duration of a single leaf-page
-// fetch (one root-to-leaf descent), then releases it before returning;
-// crossing a shard boundary hands the latch off to the next shard in key
-// order. Window-mode cursors (From/To set) are lazier than the old API
-// but coarser than snapshot cursors: each Next materializes at most ONE
-// shard's temporal scan under that shard's read latch, so the per-Next
-// latch hold and allocation are bounded by a shard's window, not a leaf.
+// travel, and temporal windows. Every cursor is a sequence of one of two
+// page primitives of the shard router, ScanPageAsOf (snapshot) and
+// ScanRangePage (window), in either direction. The latch contract,
+// precisely: a cursor holds NO latch between Next calls. Each Next
+// read-latches at most one shard, for the duration of a single page —
+// one root-to-leaf descent to one leaf's visible versions (snapshot
+// cursors) or to one current leaf's key range over the time window
+// (window cursors) — then releases it before returning; crossing a
+// shard boundary hands the latch off to the next shard in key order.
 // Consistency across all hand-offs comes from the snapshot timestamp,
 // not from latches — versions visible at a fixed time are immutable
 // under the non-deletion policy — so a paused or abandoned cursor never
-// blocks a writer and a Limit=1 snapshot cursor costs O(tree height)
-// page reads, not a full scan. The slice-returning
-// ScanAsOf/ScanRange/FetchBySecondary survive as thin Collect wrappers
-// over cursors.
+// blocks a writer and a Limit=1 cursor costs O(tree height) page reads,
+// not a full scan, in either direction and either mode.
+//
+// The read API is Get/GetAsOf for points, Cursor/Range for scans, and
+// Query/QueryAt for composed reads (internal/query): history, diffs, and
+// secondary-index fetches are query specs (query.History, query.Diff,
+// Spec.JoinSecondary). History is query.History(k) collected.
 //
 // Typical use:
 //
@@ -160,7 +163,6 @@ import (
 	"fmt"
 	"iter"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -637,7 +639,7 @@ type ScanOptions = txn.ScanOptions
 type Cursor = txn.Cursor
 
 // Cursor opens a streaming read over keys in [low, high) at the current
-// time (or as directed by opts): the cursor form of ScanAsOf/ScanRange,
+// time (or as directed by opts: a past snapshot, or a temporal window),
 // through a read-only transaction that takes no logical locks.
 func (d *DB) Cursor(low record.Key, high record.Bound, opts ScanOptions) *Cursor {
 	return d.ReadOnly().Cursor(low, high, opts)
@@ -647,29 +649,6 @@ func (d *DB) Cursor(low record.Key, high record.Bound, opts ScanOptions) *Cursor
 // non-nil error is yielded as the final pair.
 func (d *DB) Range(low record.Key, high record.Bound, opts ScanOptions) iter.Seq2[record.Version, error] {
 	return d.ReadOnly().Range(low, high, opts)
-}
-
-// ScanAsOf returns the snapshot of [low, high) at time at, sorted by key.
-func (d *DB) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error) {
-	return d.tm.ReadAt(at).Scan(low, high)
-}
-
-// History returns every committed version of key k, oldest first.
-func (d *DB) History(k record.Key) ([]record.Version, error) {
-	return d.tm.History(k)
-}
-
-// ScanRange returns the versions of keys in [low, high) valid at any
-// moment in [from, to), sorted by (key, time) — e.g. "all balance changes
-// of accounts A..B during March".
-func (d *DB) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	return d.tm.ScanRange(low, high, from, to)
-}
-
-// Diff reports every key in [low, high) whose visible state differs
-// between times from and to, sorted by key.
-func (d *DB) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	return d.tm.Diff(low, high, from, to)
 }
 
 // Now returns the last commit timestamp.
@@ -696,98 +675,6 @@ func (d *DB) CountSecondary(name string, skey record.Key, at record.Timestamp) (
 		return 0, fmt.Errorf("db: no secondary index %q", name)
 	}
 	return s.index.CountAsOf(skey, at)
-}
-
-// SecondaryCursor streams the records that carried a secondary key at a
-// fixed time, in primary-key order (descending with ScanOptions.Reverse).
-// The primary-key list is resolved eagerly through the secondary index —
-// a short secondary-index read latch, released before the cursor is
-// returned — and the records themselves are fetched lazily from the
-// primary index, one point lookup per Next, so like every cursor it
-// holds no latch between Next calls.
-type SecondaryCursor struct {
-	reader *txn.ReadTxn
-	pks    []record.Key
-	limit  int
-	cur    record.Version
-	n      int
-	closed bool
-	err    error
-}
-
-// FetchBySecondaryCursor opens a streaming fetch of the records carrying
-// skey at time at, resolved through the primary index (§3.6). Only
-// Limit and Reverse of opts apply; the snapshot time is at.
-func (d *DB) FetchBySecondaryCursor(name string, skey record.Key, at record.Timestamp, opts ScanOptions) (*SecondaryCursor, error) {
-	pks, err := d.LookupSecondary(name, skey, at)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Reverse {
-		slices.Reverse(pks)
-	}
-	return &SecondaryCursor{reader: d.tm.ReadAt(at), pks: pks, limit: opts.Limit}, nil
-}
-
-// Next advances to the next record and reports whether one is available.
-func (c *SecondaryCursor) Next() bool {
-	if c.err != nil || c.closed {
-		return false
-	}
-	for len(c.pks) > 0 {
-		if c.limit > 0 && c.n >= c.limit {
-			return false
-		}
-		pk := c.pks[0]
-		c.pks = c.pks[1:]
-		v, ok, err := c.reader.Get(pk)
-		if err != nil {
-			c.err = err
-			return false
-		}
-		if !ok {
-			continue
-		}
-		c.cur = v
-		c.n++
-		return true
-	}
-	return false
-}
-
-// Version returns the record the cursor is positioned on. It must only
-// be called after a successful Next.
-func (c *SecondaryCursor) Version() record.Version { return c.cur }
-
-// Err returns the first error the cursor hit, if any.
-func (c *SecondaryCursor) Err() error { return c.err }
-
-// Close terminates the cursor; it holds nothing, so Close only stops
-// further Next calls.
-func (c *SecondaryCursor) Close() error { c.closed = true; return nil }
-
-// Collect drains the cursor into a slice.
-func (c *SecondaryCursor) Collect() ([]record.Version, error) {
-	var out []record.Version
-	for c.Next() {
-		out = append(out, c.Version())
-	}
-	if c.err != nil {
-		return nil, c.err
-	}
-	return out, nil
-}
-
-// FetchBySecondary resolves a secondary lookup through the primary index:
-// <timestamp, secondary key, primary key> entries point back at primary
-// records by key and time (§3.6). It is a thin Collect wrapper over
-// FetchBySecondaryCursor.
-func (d *DB) FetchBySecondary(name string, skey record.Key, at record.Timestamp) ([]record.Version, error) {
-	c, err := d.FetchBySecondaryCursor(name, skey, at, ScanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return c.Collect()
 }
 
 // DeviceStats is the two-tier storage accounting of the paper's cost

@@ -88,12 +88,12 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	if n, _ := d.CountSecondary("dept", record.StringKey("sales"), 4); n != 1 {
 		t.Errorf("sales@4 = %d, want 1", n)
 	}
-	vs, err := d.FetchBySecondary("dept", record.StringKey("eng"), 4)
+	vs, err := queryBySecondary(d, "dept", record.StringKey("eng"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vs) != 2 || string(vs[0].Value) != "eng|alice" || string(vs[1].Value) != "eng|carol" {
-		t.Fatalf("FetchBySecondary(eng@4) = %v", vs)
+		t.Fatalf("secondary fetch of eng@4 = %v", vs)
 	}
 	// Delete removes from the index going forward.
 	d.Update(func(tx *txn.Txn) error { return tx.Delete(record.StringKey("emp3")) }) // t=5
@@ -110,7 +110,7 @@ func TestSecondaryIndexEndToEnd(t *testing.T) {
 	if _, err := d.LookupSecondary("nope", record.StringKey("x"), 1); err == nil {
 		t.Error("unknown index should error")
 	}
-	if _, err := d.FetchBySecondary("nope", record.StringKey("x"), 1); err == nil {
+	if _, err := queryBySecondary(d, "nope", record.StringKey("x"), 1); err == nil {
 		t.Error("unknown index should error")
 	}
 	if _, err := d.CountSecondary("nope", record.StringKey("x"), 1); err == nil {
@@ -196,9 +196,9 @@ func TestScanAsOfThroughDB(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		put(t, d, fmt.Sprintf("k%d", i), "new")
 	}
-	vs, err := d.ScanAsOf(mid, nil, record.InfiniteBound())
+	vs, err := d.Cursor(nil, record.InfiniteBound(), ScanOptions{At: mid}).Collect()
 	if err != nil || len(vs) != 10 {
-		t.Fatalf("ScanAsOf = %d versions, %v", len(vs), err)
+		t.Fatalf("snapshot cursor at %d = %d versions, %v", mid, len(vs), err)
 	}
 	for _, v := range vs {
 		if string(v.Value) != "old" {

@@ -37,7 +37,7 @@ func TestDurableSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScan, err := d.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	wantScan, err := refScanAsOf(d, wantNow, nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDurableSurvivesReopen(t *testing.T) {
 	if d2.Now() != wantNow {
 		t.Fatalf("reopened clock = %v, want %v", d2.Now(), wantNow)
 	}
-	gotScan, err := d2.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	gotScan, err := d2.ReadAt(wantNow).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 		put(t, d, fmt.Sprintf("emp%03d", i%8), fmt.Sprintf("dept%02d|rev%d", i%3, i))
 	}
 	at := d.Now()
-	want, err := d.FetchBySecondary("dept", record.StringKey("dept01"), at)
+	want, err := queryBySecondary(d, "dept", record.StringKey("dept01"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDurableSecondariesRecovered(t *testing.T) {
 	}
 
 	d2 := openDur(t, Config{Dir: dir, Secondaries: secs})
-	got, err := d2.FetchBySecondary("dept", record.StringKey("dept01"), at)
+	got, err := queryBySecondary(d2, "dept", record.StringKey("dept01"), at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 	at := d.Now()
 	var want [3][]record.Version
 	for dep := 0; dep < 3; dep++ {
-		w, err := d.FetchBySecondary("dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
+		w, err := queryBySecondary(d, "dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestDurableSecondariesMultiShardCheckpointReopen(t *testing.T) {
 		t.Fatalf("recovered clock %v, want %v", d2.Now(), at)
 	}
 	for dep := 0; dep < 3; dep++ {
-		got, err := d2.FetchBySecondary("dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
+		got, err := queryBySecondary(d2, "dept", record.StringKey(fmt.Sprintf("dept%02d", dep)), at)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,11 +278,11 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 		t.Fatalf("checkpoint info = %+v, clock want %v", info, d.Now())
 	}
 	// Recovery from checkpoint-only (empty tail) reproduces the state.
-	want, _ := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	want, _ := refScanAsOf(d, d.Now(), nil, record.InfiniteBound())
 	wantNow := d.Now()
 	d.Close()
 	d2 := openDur(t, Config{Dir: dir, CheckpointBytes: -1})
-	got, _ := d2.ScanAsOf(wantNow, nil, record.InfiniteBound())
+	got, _ := d2.ReadAt(wantNow).Scan(nil, record.InfiniteBound())
 	assertSameVersions(t, "post-truncation scan", got, want)
 	if d2.Now() != wantNow {
 		t.Fatalf("clock after checkpoint-only recovery = %v, want %v", d2.Now(), wantNow)

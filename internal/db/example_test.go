@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"repro/internal/db"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -34,14 +35,18 @@ func Example() {
 	hist, _ := d.History(acct)
 	fmt.Printf("versions: %d\n", len(hist))
 
-	changes, _ := d.Diff(nil, record.InfiniteBound(), 1, 3)
-	fmt.Printf("changed keys in (1,3]: %d (%s)\n", len(changes), changes[0].Kind())
+	diff, _ := d.Query(query.Diff(nil, record.InfiniteBound(), 1, 3))
+	for diff.Next() {
+		r := diff.Row() // [before, after]
+		fmt.Printf("changed in (1,3]: %s %s -> %s\n", r.Key, r.Versions[0].Value, r.Versions[1].Value)
+	}
+	diff.Close()
 
 	// Output:
 	// current: 90
 	// as of t=2: 120
 	// versions: 3
-	// changed keys in (1,3]: 1 (updated)
+	// changed in (1,3]: acct 100 -> 90
 }
 
 // Example_abort shows that an aborted transaction leaves no trace:

@@ -90,7 +90,7 @@ func TestRecoveryPagedMigratorConcurrentCrash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
 		}
-		all, err := re.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+		all, err := re.Cursor(nil, record.InfiniteBound(), ScanOptions{From: 1, To: record.TimeInfinity}).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func TestPagedOpenReopen(t *testing.T) {
 	for i := 200; i < 260; i++ {
 		mustPut(t, d, fmt.Sprintf("key%03d", i%50), fmt.Sprintf("val%04d", i))
 	}
-	wantAll, err := d.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	wantAll, err := refScanRange(d, nil, record.InfiniteBound(), 1, record.TimeInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPagedOpenReopen(t *testing.T) {
 	if re.Now() != wantNow {
 		t.Fatalf("reopened clock %v, want %v", re.Now(), wantNow)
 	}
-	gotAll, err := re.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	gotAll, err := re.Cursor(nil, record.InfiniteBound(), ScanOptions{From: 1, To: record.TimeInfinity}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}

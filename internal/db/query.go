@@ -50,6 +50,24 @@ func (d *DB) QueryAt(at record.Timestamp, spec *query.Spec) (query.Operator, err
 	return query.Compile(spec, queryExec{d: d, r: d.ReadAt(at)})
 }
 
+// History returns every committed version of key k, oldest first
+// (tombstones included): the rows of query.History(k), collected.
+func (d *DB) History(k record.Key) ([]record.Version, error) {
+	op, err := d.Query(query.History(k))
+	if err != nil {
+		return nil, err
+	}
+	var vs []record.Version
+	for op.Next() {
+		vs = append(vs, op.Row().Versions...)
+	}
+	err = op.Err()
+	if cerr := op.Close(); err == nil {
+		err = cerr
+	}
+	return vs, err
+}
+
 var (
 	_ query.Source          = queryExec{}
 	_ query.ShardedSource   = queryExec{}

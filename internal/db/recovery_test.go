@@ -90,11 +90,11 @@ func assertEquivalent(t *testing.T, label string, got, want *DB, secNames []stri
 	if got.Now() != want.Now() {
 		t.Fatalf("%s: clock = %v, want %v", label, got.Now(), want.Now())
 	}
-	gotAll, err := got.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	gotAll, err := got.Cursor(nil, record.InfiniteBound(), ScanOptions{From: 1, To: record.TimeInfinity}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAll, err := want.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+	wantAll, err := refScanRange(want, nil, record.InfiniteBound(), 1, record.TimeInfinity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestRecoveryConcurrentCrash(t *testing.T) {
 			t.Fatalf("tear=%d: recovery: %v", tear, err)
 		}
 		// Collect every recovered (key, value) pair across all time.
-		all, err := reopened.ScanRange(nil, record.InfiniteBound(), 1, record.TimeInfinity)
+		all, err := reopened.Cursor(nil, record.InfiniteBound(), ScanOptions{From: 1, To: record.TimeInfinity}).Collect()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func (sh *shard) sampleLatch() bool {
 }
 
 // shardedStore routes operations across n key-range shards and implements
-// txn.Store and txn.Differ. Shard i owns the half-open key range
+// txn.Store. Shard i owns the half-open key range
 // [record.ShardBoundary(i,n), record.ShardBoundary(i+1,n)), so shard order
 // equals key order and range queries merge by concatenating per-shard
 // results — no interleaving is ever needed.
@@ -205,213 +205,81 @@ func (s *shardedStore) GetAsOf(k record.Key, at record.Timestamp) (record.Versio
 	return v, ok, err
 }
 
-func (s *shardedStore) History(k record.Key) ([]record.Version, error) {
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.tree.History(k)
-}
-
-func (s *shardedStore) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error) {
-	var out []record.Version
-	from, to := s.shardSpan(low, high)
-	for i := from; i <= to; i++ {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		part, err := sh.tree.ScanAsOf(at, low, high)
-		sh.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
-func (s *shardedStore) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	var out []record.Version
-	parts := s.RangeParts(low, high)
-	for part := 0; part < parts; part++ {
-		vs, err := s.ScanRangePart(part, low, high, from, to)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
-}
-
-// RangeParts returns how many independently latched parts a temporal
-// range scan of [low, high) splits into: one per touched shard, in key
-// order (shard order equals key order, so concatenating parts preserves
-// the (key, time) result order).
-func (s *shardedStore) RangeParts(low record.Key, high record.Bound) int {
-	from, to := s.shardSpan(low, high)
-	return to - from + 1
-}
-
-// ScanRangePart materializes one part of a temporal range scan under
-// that single shard's read latch; no other latch is touched.
-func (s *shardedStore) ScanRangePart(part int, low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	first, _ := s.shardSpan(low, high)
-	i := first + part
-	sh := s.shards[i]
-	sh.mu.RLock()
-	out, err := sh.tree.ScanRange(low, high, from, to)
-	sh.mu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("db: shard %d: %w", i, err)
-	}
-	return out, nil
-}
-
-// ScanPageAsOf streams one latch-scoped batch of the snapshot at time
-// at: the shard-order concatenating merge cursor of the sharded engine
-// (reverse shard order when reverse is set). It read-latches exactly one
-// shard at a time, only for the duration of that shard tree's leaf-page
-// call, releasing it before touching the next shard — the incremental
-// latch hand-off that lets a cursor pause indefinitely between pages
-// without blocking writers. Because the key space is range-partitioned
-// in shard order, pages concatenate in key order with no interleaving.
+// ScanPageAsOf streams one latch-scoped page of the snapshot at time at
+// through the shard walker.
 func (s *shardedStore) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error) {
+	return s.walkShards(low, high, reverse, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+		return t.ScanPageAsOf(at, lo, hi, reverse)
+	})
+}
+
+// ScanRangePage streams one latch-scoped, key-paged page of a temporal
+// range query through the shard walker: the window-mode twin of
+// ScanPageAsOf.
+func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp, reverse bool) (core.Page, error) {
+	return s.walkShards(low, high, reverse, func(t *core.Tree, lo record.Key, hi record.Bound) (core.Page, error) {
+		return t.ScanRangePage(lo, hi, from, to, reverse)
+	})
+}
+
+// walkShards is the shard-order concatenating merge of every scan: it
+// serves one page of [low, high) by calling page on one shard tree at a
+// time (reverse shard order when reverse is set), with the window
+// clamped to that shard. It read-latches exactly one shard, only for the
+// duration of that call, releasing it before touching the next shard —
+// the incremental latch hand-off that lets a cursor pause indefinitely
+// between pages without blocking writers. An exhausted shard hands the
+// window's edge to the next shard's boundary. Because the key space is
+// range-partitioned in shard order, pages concatenate in key order with
+// no interleaving.
+func (s *shardedStore) walkShards(low record.Key, high record.Bound, reverse bool,
+	page func(t *core.Tree, low record.Key, high record.Bound) (core.Page, error)) (core.Page, error) {
 	n := len(s.shards)
+	first, last := s.shardSpan(low, high)
+	i := first
 	if reverse {
-		i := n - 1
-		if !high.IsInfinite() {
-			i = record.ShardOfKey(high.Key(), n)
+		i = last
+	}
+	lo, hi := low, high
+	for {
+		shLow, shHigh := record.ShardRange(i, n)
+		clampLow, clampHigh := lo, hi
+		if clampLow.Compare(shLow) < 0 {
+			clampLow = shLow
 		}
-		first := record.ShardOfKey(low, n)
-		hi := high
-		for {
-			shLow, _ := record.ShardRange(i, n)
-			clampLow := low
-			if low.Compare(shLow) < 0 {
-				clampLow = shLow
-			}
-			// A resumed reverse scan arrives with hi at this shard's
-			// low boundary: the window inside the shard is empty, so
-			// step down without a latched descent.
-			if !hi.IsInfinite() && hi.CompareKey(clampLow) <= 0 {
-				if i <= first {
-					return core.Page{}, nil
-				}
-				i--
-				hi = record.KeyBound(shLow)
-				continue
-			}
+		if shHigh.Compare(clampHigh) < 0 {
+			clampHigh = shHigh
+		}
+		var p core.Page
+		// A window edge resumed at this shard's boundary leaves the
+		// window inside it empty: step on without a latched descent.
+		if clampHigh.IsInfinite() || clampHigh.CompareKey(clampLow) > 0 {
 			sh := s.shards[i]
 			sh.mu.RLock()
-			page, err := sh.tree.ScanPageAsOf(at, clampLow, hi, true)
+			var err error
+			p, err = page(sh.tree, clampLow, clampHigh)
 			sh.mu.RUnlock()
 			if err != nil {
 				return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
 			}
-			if page.More || i <= first {
-				return page, nil
-			}
-			// This shard is exhausted: hand the window's high edge down
-			// to the next shard's upper boundary.
+		}
+		if p.More || reverse && i <= first || !reverse && i >= last {
+			return p, nil
+		}
+		// This shard is exhausted: hand the window edge to the next
+		// shard's boundary.
+		if reverse {
 			i--
-			next := record.KeyBound(shLow)
-			if len(page.Versions) > 0 {
-				page.NextHigh = next
-				page.More = true
-				return page, nil
-			}
-			hi = next
+			hi = record.KeyBound(shLow)
+		} else {
+			i++
+			lo = record.ShardBoundary(i, n)
+		}
+		if len(p.Versions) > 0 {
+			p.NextLow, p.NextHigh, p.More = lo, hi, true
+			return p, nil
 		}
 	}
-	i := record.ShardOfKey(low, n)
-	last := n - 1
-	if !high.IsInfinite() {
-		last = record.ShardOfKey(high.Key(), n)
-	}
-	lo := low
-	for {
-		_, shHigh := record.ShardRange(i, n)
-		clampHigh := high
-		if shHigh.Compare(high) < 0 {
-			clampHigh = shHigh
-		}
-		sh := s.shards[i]
-		sh.mu.RLock()
-		page, err := sh.tree.ScanPageAsOf(at, lo, clampHigh, false)
-		sh.mu.RUnlock()
-		if err != nil {
-			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		if page.More || i >= last {
-			return page, nil
-		}
-		// This shard is exhausted: resume at the next shard's boundary.
-		i++
-		next := record.ShardBoundary(i, n)
-		if len(page.Versions) > 0 {
-			page.NextLow = next
-			page.More = true
-			return page, nil
-		}
-		lo = next
-	}
-}
-
-// ScanRangePage streams one latch-scoped, key-paged batch of a temporal
-// range query — the window-mode twin of ScanPageAsOf. It read-latches
-// exactly one shard at a time, for the duration of one ScanRangePage call
-// on that shard's tree, and hands the window off across shard boundaries
-// through the page's NextLow: a window cursor pausing between pages
-// blocks no writer on any shard. Shard order equals key order, so pages
-// concatenate in ScanRange's (key, time) order with no interleaving.
-func (s *shardedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp) (core.Page, error) {
-	n := len(s.shards)
-	i := record.ShardOfKey(low, n)
-	last := n - 1
-	if !high.IsInfinite() {
-		last = record.ShardOfKey(high.Key(), n)
-	}
-	lo := low
-	for {
-		_, shHigh := record.ShardRange(i, n)
-		clampHigh := high
-		if shHigh.Compare(high) < 0 {
-			clampHigh = shHigh
-		}
-		sh := s.shards[i]
-		sh.mu.RLock()
-		page, err := sh.tree.ScanRangePage(lo, clampHigh, from, to)
-		sh.mu.RUnlock()
-		if err != nil {
-			return core.Page{}, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		if page.More || i >= last {
-			return page, nil
-		}
-		// This shard is exhausted: resume at the next shard's boundary.
-		i++
-		next := record.ShardBoundary(i, n)
-		if len(page.Versions) > 0 {
-			page.NextLow = next
-			page.More = true
-			return page, nil
-		}
-		lo = next
-	}
-}
-
-func (s *shardedStore) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	var out []core.Change
-	lo, hi := s.shardSpan(low, high)
-	for i := lo; i <= hi; i++ {
-		sh := s.shards[i]
-		sh.mu.RLock()
-		part, err := sh.tree.Diff(low, high, from, to)
-		sh.mu.RUnlock()
-		if err != nil {
-			return nil, fmt.Errorf("db: shard %d: %w", i, err)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
 }
 
 // registerMetrics names each shard's latch-contention histograms in r,
@@ -482,10 +350,4 @@ func (s *shardedStore) checkInvariants() error {
 	return nil
 }
 
-var (
-	_ txn.Store             = (*shardedStore)(nil)
-	_ txn.Differ            = (*shardedStore)(nil)
-	_ txn.CursorStore       = (*shardedStore)(nil)
-	_ txn.PartedStore       = (*shardedStore)(nil)
-	_ txn.WindowCursorStore = (*shardedStore)(nil)
-)
+var _ txn.Store = (*shardedStore)(nil)

@@ -167,8 +167,8 @@ func TestShardEquivalence(t *testing.T) {
 				}
 				for _, r := range ranges {
 					for _, at := range []record.Timestamp{1, now / 2, now} {
-						ss, err1 := single.ScanAsOf(at, r.low, r.high)
-						ms, err2 := multi.ScanAsOf(at, r.low, r.high)
+						ss, err1 := single.ReadAt(at).Scan(r.low, r.high)
+						ms, err2 := multi.ReadAt(at).Scan(r.low, r.high)
 						if err1 != nil || err2 != nil {
 							t.Fatal(err1, err2)
 						}
@@ -176,16 +176,17 @@ func TestShardEquivalence(t *testing.T) {
 							t.Fatalf("ScanAsOf(%d,[%s,%s)): %v", at, r.low, r.high, err)
 						}
 					}
-					sr, err1 := single.ScanRange(r.low, r.high, now/3, 2*now/3)
-					mr, err2 := multi.ScanRange(r.low, r.high, now/3, 2*now/3)
+					window := ScanOptions{From: now / 3, To: 2 * now / 3}
+					sr, err1 := single.Cursor(r.low, r.high, window).Collect()
+					mr, err2 := multi.Cursor(r.low, r.high, window).Collect()
 					if err1 != nil || err2 != nil {
 						t.Fatal(err1, err2)
 					}
 					if err := sameVersions(sr, mr); err != nil {
 						t.Fatalf("ScanRange([%s,%s)): %v", r.low, r.high, err)
 					}
-					sd, err1 := single.Diff(r.low, r.high, now/3, now)
-					md, err2 := multi.Diff(r.low, r.high, now/3, now)
+					sd, err1 := queryDiff(single, r.low, r.high, now/3, now)
+					md, err2 := queryDiff(multi, r.low, r.high, now/3, now)
 					if err1 != nil || err2 != nil {
 						t.Fatal(err1, err2)
 					}
@@ -245,7 +246,7 @@ func TestShardRoutingPlacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := d.ScanAsOf(d.Now(), nil, record.InfiniteBound())
+	all, err := d.ReadAt(d.Now()).Scan(nil, record.InfiniteBound())
 	if err != nil {
 		t.Fatal(err)
 	}

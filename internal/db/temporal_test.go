@@ -15,7 +15,7 @@ func TestScanRangeThroughDB(t *testing.T) {
 	put(t, d, "a", "a2") // t=3
 	put(t, d, "c", "c1") // t=4
 
-	vs, err := d.ScanRange(nil, record.InfiniteBound(), 2, 4)
+	vs, err := d.Cursor(nil, record.InfiniteBound(), ScanOptions{From: 2, To: 4}).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestDiffThroughDB(t *testing.T) {
 	put(t, d, "add", "x")                                                            // t=4
 	d.Update(func(tx *txn.Txn) error { return tx.Delete(record.StringKey("stay")) }) // t=5
 
-	changes, err := d.Diff(nil, record.InfiniteBound(), mark, d.Now())
+	changes, err := queryDiff(d, nil, record.InfiniteBound(), mark, d.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

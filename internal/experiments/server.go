@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -232,7 +233,7 @@ func runConn(addr string, cn, window, opsPerConn int, lats *[]time.Duration) err
 			}
 		}
 		if i%200 == 199 {
-			sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{Limit: 8, BatchSize: 8})
+			sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()).WithLimit(8), client.QueryOptions{BatchSize: 8})
 			if err != nil {
 				return fmt.Errorf("conn %d scan: %w", cn, err)
 			}

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -64,8 +66,7 @@ func compile(s *Spec, src Source) (Operator, error) {
 		if to == 0 {
 			to = record.TimeInfinity
 		}
-		high := record.KeyBound(append(s.Key.Clone(), 0))
-		cur := src.Cursor(s.Key, high, txn.ScanOptions{From: from, To: to, Reverse: s.Reverse})
+		cur := src.Cursor(s.Key, justAfter(s.Key), txn.ScanOptions{From: from, To: to, Reverse: s.Reverse})
 		return &cursorOp{cur: cur}, nil
 	case OpDiff:
 		if s.To <= s.From {
@@ -123,6 +124,12 @@ func compile(s *Spec, src Source) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
+		if s.Input.Kind == OpScan {
+			if s.Input.Reverse {
+				slices.Reverse(pks)
+			}
+			return &probeOp{src: src, scan: s.Input, keys: slices.CompactFunc(pks, record.Key.Equal)}, nil
+		}
 		in, err := compile(s.Input, src)
 		if err != nil {
 			return nil, err
@@ -131,6 +138,9 @@ func compile(s *Spec, src Source) (Operator, error) {
 	}
 	return nil, badSpec("unknown operator kind %d", s.Kind)
 }
+
+// justAfter is the exclusive upper bound of the one-key range [k, k+0x00).
+func justAfter(k record.Key) record.Bound { return record.KeyBound(append(k.Clone(), 0)) }
 
 // compileScan builds a Scan source: a serial cursor, or — Parallel over
 // a ShardedSource — one cursor goroutine per shard feeding an ordered

@@ -336,6 +336,61 @@ func (o *semiJoinOp) Row() Row     { return o.row }
 func (o *semiJoinOp) Err() error   { return o.in.Err() }
 func (o *semiJoinOp) Close() error { return o.in.Close() }
 
+// probeOp is the secondary join over a plain Scan source: one point
+// cursor per looked-up key, in stream direction, with the scan's time
+// options. It reads only the matching records' pages — about matches ×
+// tree height — where semiJoinOp would walk every primary leaf between
+// the first and last match.
+type probeOp struct {
+	src  Source
+	scan *Spec
+	keys []record.Key // sorted in stream direction, distinct
+	cur  *cursorOp
+	err  error
+	row  Row
+}
+
+func (o *probeOp) Next() bool {
+	for {
+		if o.cur != nil {
+			if o.cur.Next() {
+				o.row = o.cur.Row()
+				return true
+			}
+			o.err = o.closeCur()
+		}
+		if o.err != nil || len(o.keys) == 0 {
+			return false
+		}
+		k := o.keys[0]
+		o.keys = o.keys[1:]
+		if k.Compare(o.scan.Low) < 0 || o.scan.High.CompareKey(k) <= 0 {
+			continue
+		}
+		opts := txn.ScanOptions{At: o.scan.At, From: o.scan.From, To: o.scan.To, Reverse: o.scan.Reverse}
+		o.cur = &cursorOp{cur: o.src.Cursor(k, justAfter(k), opts)}
+	}
+}
+
+func (o *probeOp) closeCur() error {
+	err := o.cur.Err()
+	if cerr := o.cur.Close(); err == nil {
+		err = cerr
+	}
+	o.cur = nil
+	return err
+}
+
+func (o *probeOp) Row() Row   { return o.row }
+func (o *probeOp) Err() error { return o.err }
+
+func (o *probeOp) Close() error {
+	if o.cur != nil {
+		return o.closeCur()
+	}
+	return nil
+}
+
 // diffOp folds a (key, time)-ordered window stream over [from, to+1)
 // into change rows, replicating core.Tree.Diff's per-key endpoint
 // comparison one group at a time: the change-cursor. Keys arrive in

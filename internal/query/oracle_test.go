@@ -152,7 +152,7 @@ func (m *model) windowRows(low record.Key, high record.Bound, from, to record.Ti
 	return rows
 }
 
-// diffRows models db.Diff: keys with at least one commit in (from, to],
+// diffRows models core.Tree.Diff: keys with at least one commit in (from, to],
 // reported with the visible state at each endpoint; keys both created
 // and dead inside the window produce nothing.
 func (m *model) diffRows(low record.Key, high record.Bound, from, to record.Timestamp, reverse bool) []query.Row {

@@ -17,8 +17,9 @@
 //   - History: one key's committed version history (a version-cursor; a
 //     changefeed over a single record).
 //   - Diff: the keys whose visible state differs between two times, as
-//     streaming change rows — the change-cursor form of db.Diff, and the
-//     changefeed primitive (poll Diff(lastSeen, now) to subscribe).
+//     streaming change rows — the change-cursor form of core.Tree.Diff,
+//     and the changefeed primitive (poll Diff(lastSeen, now) to
+//     subscribe).
 //
 // Transforms: Filter (a key-range predicate is pushed down into the
 // source's scan window at compile time, so the cursor never reads pages

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/query"
 	"repro/internal/record"
@@ -117,9 +118,18 @@ func TestQueryDiffMatchesDB(t *testing.T) {
 	}
 	t2 := d.Now()
 
-	want, err := d.Diff(nil, record.InfiniteBound(), t1, t2)
-	if err != nil {
-		t.Fatalf("db diff: %v", err)
+	// Reference: core's Tree.Diff per shard, concatenated in shard
+	// (= key) order.
+	var want []core.Change
+	for i := 0; i < d.Shards(); i++ {
+		err := d.WithShardTree(i, func(tr *core.Tree) error {
+			part, err := tr.Diff(nil, record.InfiniteBound(), t1, t2)
+			want = append(want, part...)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("tree diff: %v", err)
+		}
 	}
 	rows := collectRows(t, d, query.Diff(nil, record.InfiniteBound(), t1, t2))
 	if len(rows) != len(want) {

@@ -105,7 +105,7 @@ func History(key record.Key) *Spec {
 
 // Diff returns the change-cursor between two times: one row per key in
 // [low, high) whose visible state differs between t1 and t2, with the
-// before/after versions attached — db.Diff as a stream.
+// before/after versions attached — core.Tree.Diff as a stream.
 func Diff(low record.Key, high record.Bound, t1, t2 record.Timestamp) *Spec {
 	return &Spec{Kind: OpDiff, Low: low, High: high, From: t1, To: t2}
 }
@@ -145,7 +145,9 @@ func (s *Spec) Join(right *Spec) *Spec {
 
 // JoinSecondary semi-joins the stream against a secondary-index lookup:
 // only rows whose key carries skey in the named index (at time at, 0 =
-// the transaction's snapshot) survive.
+// the transaction's snapshot) survive. Over a plain Scan it compiles to
+// one point cursor per looked-up key; over any other input it merges
+// the key list against the stream.
 func (s *Spec) JoinSecondary(index string, skey record.Key, at record.Timestamp) *Spec {
 	return &Spec{Kind: OpSecondaryJoin, Index: index, SKey: skey, At: at, Input: s}
 }

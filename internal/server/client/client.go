@@ -1,6 +1,6 @@
 // Package client is the Go client for tsbserve. It speaks the
 // internal/server/wire protocol over one TCP connection and exposes
-// both a synchronous API (Put/Get/Delete/Commit/Scan) and an
+// both a synchronous API (Put/Get/Delete/Commit/QueryScan) and an
 // asynchronous pipelined one: every operation has a *Async form that
 // returns a Call immediately, and waiting on Calls in issue order gives
 // the pipelining the protocol is built around — many requests in

@@ -3,11 +3,11 @@ package server
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"repro/internal/db"
 	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/server/wire"
@@ -165,10 +165,6 @@ func (c *conn) respond(payload []byte) []byte {
 		return c.opDelete(d)
 	case wire.OpCommit:
 		return c.opCommit(d)
-	case wire.OpOpenCursor:
-		return c.opOpenCursor(d)
-	case wire.OpFetch:
-		return c.opFetch(d)
 	case wire.OpCloseCursor:
 		return c.opCloseCursor(d)
 	case wire.OpRefresh:
@@ -326,127 +322,8 @@ func (c *conn) opGet(d *record.Decoder) []byte {
 	return e.Bytes()
 }
 
-func (c *conn) opOpenCursor(d *record.Decoder) []byte {
-	oc, err := wire.DecodeOpenCursor(d)
-	if err != nil {
-		return errResp(wire.CodeBadRequest, err.Error())
-	}
-	at := oc.At
-	if at == 0 {
-		at = c.sess.at
-	}
-	// Translate the tenant-relative range into the namespaced keyspace.
-	low := record.PrefixKey(c.sess.tenant, oc.Low)
-	high := c.sess.nsHigh
-	if !oc.High.IsInfinite() {
-		high = record.KeyBound(record.PrefixKey(c.sess.tenant, oc.High.Key()))
-	}
-	remaining := -1
-	if oc.Limit > 0 {
-		remaining = int(min(oc.Limit, 1<<31))
-	}
-	id := c.srv.curs.add(&cursorState{
-		sess:      c.sess.id,
-		low:       low,
-		high:      high,
-		at:        at,
-		remaining: remaining,
-		reverse:   oc.Reverse,
-		expires:   time.Now().Add(c.srv.cfg.CursorLease),
-	})
-	e := ok()
-	e.Uvarint(id)
-	return e.Bytes()
-}
-
-// opFetch returns one batch from a server-side cursor. It opens a fresh
-// DB cursor positioned by the saved resume state, drains at most one
-// batch, and lets it go — between fetch frames the server holds no DB
-// latch, snapshot handle, or heap beyond the resume struct, so an
-// abandoned client cursor costs one table entry until its lease
-// expires.
-func (c *conn) opFetch(d *record.Decoder) []byte {
-	id := d.Uvarint()
-	maxN := d.Uvarint()
-	if d.Err() != nil {
-		return errResp(wire.CodeBadRequest, "short fetch")
-	}
-	if maxN == 0 {
-		maxN = 128
-	}
-	maxN = min(maxN, 1024)
-
-	cu, found := c.srv.curs.checkout(id, c.sess.id, time.Now().Add(c.srv.cfg.CursorLease))
-	if !found {
-		return errResp(wire.CodeUnknownCursor, "no such cursor (closed, expired, or another session's)")
-	}
-	if cu.op != nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return errResp(wire.CodeBadRequest, "query cursor: use query-fetch")
-	}
-	if cu.remaining == 0 {
-		// The client Limit is spent: terminal empty batch.
-		c.srv.curs.checkin(id, cu, nil, 0, true)
-		e := ok()
-		e.Uvarint(0)
-		e.Bool(true)
-		return e.Bytes()
-	}
-
-	n := int(maxN)
-	if cu.remaining > 0 {
-		n = min(n, cu.remaining)
-	}
-	opts := db.ScanOptions{Reverse: cu.reverse, Limit: n}
-	low, high := cu.low, cu.high
-	if cu.last != nil {
-		if cu.reverse {
-			high = record.KeyBound(cu.last) // exclusive: resumes strictly below
-		} else {
-			opts.After = cu.last
-		}
-	}
-
-	// Size-aware batch: stop early rather than overflow the frame.
-	budget := c.srv.cfg.MaxFrameBytes - 256
-	e := ok()
-	count := 0
-	sized := false
-	var last record.Key
-	cur := c.srv.db.ReadAt(cu.at).Cursor(low, high, opts)
-	for cur.Next() {
-		v := cur.Version()
-		last = append([]byte(nil), v.Key...)
-		sk, okStrip := record.StripPrefix(c.sess.tenant, v.Key)
-		if !okStrip {
-			c.srv.curs.checkin(id, cu, nil, 0, true)
-			return errResp(wire.CodeInternal, "cursor version outside session namespace")
-		}
-		v.Key = sk
-		count++
-		e.Uvarint(1) // "another version follows"
-		e.Version(v)
-		if e.Len() >= budget {
-			sized = true
-			break
-		}
-	}
-	if err := cur.Err(); err != nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return dbErrResp(err)
-	}
-	// Done when the range is exhausted (neither the batch cap nor the
-	// size budget stopped us) or the client's Limit is spent.
-	done := (count < n && !sized) || (cu.remaining > 0 && count >= cu.remaining)
-	c.srv.curs.checkin(id, cu, last, count, done)
-	e.Uvarint(0) // end of batch
-	e.Bool(done)
-	return e.Bytes()
-}
-
 // namespaceSpec maps a tenant-relative operator tree into the
-// session's slice of the keyspace — the query-shaped form of what
-// opOpenCursor does to its bounds. Primary-key fields (scan/diff
+// session's slice of the keyspace. Primary-key fields (scan/diff
 // windows, history keys, filter ranges) are prefixed; secondary keys
 // are not (the index maps them to already-prefixed primary keys, and
 // the semi-join intersects with the tenant-clamped primary stream).
@@ -498,21 +375,28 @@ func (c *conn) opOpenQuery(d *record.Decoder) []byte {
 		return dbErrResp(err)
 	}
 	id := c.srv.curs.add(&cursorState{
-		sess:      c.sess.id,
-		at:        c.sess.at,
-		remaining: -1,
-		expires:   time.Now().Add(c.srv.cfg.CursorLease),
-		op:        op,
+		sess:    c.sess.id,
+		expires: time.Now().Add(c.srv.cfg.CursorLease),
+		op:      op,
 	})
 	e := ok()
 	e.Uvarint(id)
 	return e.Bytes()
 }
 
+// fetchTrailer is the encoded size of a fetch reply's tail: the end-of-
+// batch marker (uvarint 0) and the done flag.
+const fetchTrailer = 2
+
 // opQueryFetch drains one row batch from a query cursor's pipeline.
 // The operator stays checked out for the duration (the busy flag
 // serializes fetches and holds the janitor off), and between fetches
 // it idles latch-free under its lease.
+//
+// A batch never outgrows MaxFrameBytes: each row is encoded in place
+// and, if it would push the frame past the limit, cut off again and
+// carried to the next fetch. A row too large for even an empty frame
+// fails the cursor with a typed error; the connection stays usable.
 func (c *conn) opQueryFetch(d *record.Decoder) []byte {
 	id := d.Uvarint()
 	maxN := d.Uvarint()
@@ -528,58 +412,65 @@ func (c *conn) opQueryFetch(d *record.Decoder) []byte {
 	if !found {
 		return errResp(wire.CodeUnknownCursor, "no such cursor (closed, expired, or another session's)")
 	}
-	if cu.op == nil {
-		c.srv.curs.checkin(id, cu, nil, 0, false)
-		return errResp(wire.CodeBadRequest, "range cursor: use fetch")
-	}
 
 	fail := func(code byte, msg string) []byte {
-		_ = cu.op.Close()
-		cu.op = nil
-		c.srv.curs.checkin(id, cu, nil, 0, true)
+		closeOp(cu)
+		c.srv.curs.checkin(id, cu, true)
 		return errResp(code, msg)
 	}
 
-	budget := c.srv.cfg.MaxFrameBytes - 256
+	limit := c.srv.cfg.MaxFrameBytes - fetchTrailer
 	e := ok()
+	empty := e.Len()
 	count := 0
 	done := false
 	for count < int(maxN) {
-		if !cu.op.Next() {
-			if err := cu.op.Err(); err != nil {
-				return fail(wire.CodeInternal, err.Error())
+		mark := e.Len()
+		if cu.carry != nil {
+			e = record.NewEncoder(append(e.Bytes(), cu.carry...))
+			cu.carry = nil
+		} else {
+			if !cu.op.Next() {
+				if err := cu.op.Err(); err != nil {
+					return fail(wire.CodeInternal, err.Error())
+				}
+				done = true
+				break
 			}
-			done = true
+			r := cu.op.Row()
+			sk, okStrip := record.StripPrefix(c.sess.tenant, r.Key)
+			if !okStrip {
+				return fail(wire.CodeInternal, "query row outside session namespace")
+			}
+			r.Key = sk
+			vs := make([]record.Version, len(r.Versions))
+			for i, v := range r.Versions {
+				if svk, okV := record.StripPrefix(c.sess.tenant, v.Key); okV {
+					v.Key = svk
+				} else {
+					return fail(wire.CodeInternal, "query version outside session namespace")
+				}
+				vs[i] = v
+			}
+			r.Versions = vs
+			e.Uvarint(1) // "another row follows"
+			wire.EncodeRow(e, r)
+		}
+		if e.Len() > limit {
+			row := e.Bytes()[mark:]
+			if mark == empty {
+				return fail(wire.CodeBadRequest, fmt.Sprintf("query row of %d bytes exceeds the %d-byte frame limit", len(row), c.srv.cfg.MaxFrameBytes))
+			}
+			cu.carry = append([]byte(nil), row...)
+			e = record.NewEncoder(e.Bytes()[:mark])
 			break
 		}
-		r := cu.op.Row()
-		sk, okStrip := record.StripPrefix(c.sess.tenant, r.Key)
-		if !okStrip {
-			return fail(wire.CodeInternal, "query row outside session namespace")
-		}
-		r.Key = sk
-		vs := make([]record.Version, len(r.Versions))
-		for i, v := range r.Versions {
-			if svk, okV := record.StripPrefix(c.sess.tenant, v.Key); okV {
-				v.Key = svk
-			} else {
-				return fail(wire.CodeInternal, "query version outside session namespace")
-			}
-			vs[i] = v
-		}
-		r.Versions = vs
-		e.Uvarint(1) // "another row follows"
-		wire.EncodeRow(e, r)
 		count++
-		if e.Len() >= budget {
-			break
-		}
 	}
 	if done {
-		_ = cu.op.Close()
-		cu.op = nil
+		closeOp(cu)
 	}
-	c.srv.curs.checkin(id, cu, nil, 0, done)
+	c.srv.curs.checkin(id, cu, done)
 	e.Uvarint(0) // end of batch
 	e.Bool(done)
 	return e.Bytes()

@@ -5,33 +5,25 @@ import (
 	"time"
 
 	"repro/internal/query"
-	"repro/internal/record"
 )
 
 // cursorState is everything the server remembers about a client's open
-// range scan between fetches: bounds, snapshot, resume position, and
-// lease. For a plain range cursor no DB cursor, latch, or snapshot
-// handle lives here — each fetch re-opens and abandons a fresh engine
-// cursor, so an idle or abandoned client scan blocks nothing.
-//
-// A query cursor (op non-nil) additionally keeps its live operator
-// pipeline: a composed stream has no single resume key to re-seek
-// from. The operator contract makes that equally harmless — an idle
-// operator holds no latch — but it does pin heap (and, for a parallel
-// scan, parked goroutines), so every path that drops the table entry
-// must also Close the operator. Close runs outside the table mutex:
-// it may wait on goroutines that are mid-fill inside the engine.
+// query cursor between fetches: its live operator pipeline (every served
+// scan is a query.Spec, and a composed stream has no single resume key
+// to re-seek from) and its lease. The operator contract makes an idle
+// cursor harmless — an idle operator holds no latch — but it does pin
+// heap (and, for a parallel scan, parked goroutines), so every path
+// that drops the table entry must also Close the operator. Close runs
+// outside the table mutex: it may wait on goroutines that are mid-fill
+// inside the engine.
 type cursorState struct {
-	sess      uint64
-	low       record.Key
-	high      record.Bound
-	at        record.Timestamp
-	last      record.Key // resume key: last key returned, nil before the first batch
-	remaining int        // client Limit countdown; -1 = unlimited
-	reverse   bool
-	expires   time.Time
-	busy      bool           // checked out by a fetch; janitor must not reap
-	op        query.Operator // live pipeline (query cursors only)
+	sess    uint64
+	expires time.Time
+	busy    bool           // checked out by a fetch; janitor must not reap
+	op      query.Operator // live pipeline
+	// carry is an encoded row the previous fetch pulled from op but
+	// could not fit in its frame: the next fetch sends it first.
+	carry []byte
 }
 
 // cursorTable owns every open server-side cursor. Its mutex is a leaf,
@@ -73,23 +65,15 @@ func (t *cursorTable) checkout(id, sess uint64, renewTo time.Time) (*cursorState
 	return cu, true
 }
 
-// checkin returns the cursor after a fetch: done removes it, otherwise
-// the resume position advances (last non-nil only when the batch
-// yielded keys) and the limit countdown shrinks. The caller owns
-// closing cu.op on done — it already holds the operator via checkout.
-func (t *cursorTable) checkin(id uint64, cu *cursorState, last record.Key, yielded int, done bool) {
+// checkin returns the cursor after a fetch; done removes it. The caller
+// owns closing cu.op on done — it already holds the operator via
+// checkout.
+func (t *cursorTable) checkin(id uint64, cu *cursorState, done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cu.busy = false
 	if done {
 		delete(t.open, id)
-		return
-	}
-	if last != nil {
-		cu.last = last
-	}
-	if cu.remaining > 0 {
-		cu.remaining = max(cu.remaining-yielded, 0)
 	}
 }
 
@@ -161,8 +145,8 @@ func (t *cursorTable) clear() {
 	}
 }
 
-// closeOp releases a query cursor's pipeline; a no-op for plain range
-// cursors. Never called with the table mutex held.
+// closeOp releases a cursor's pipeline once. Never called with the
+// table mutex held.
 func closeOp(cu *cursorState) {
 	if cu.op != nil {
 		_ = cu.op.Close()

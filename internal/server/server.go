@@ -24,15 +24,17 @@
 //
 // # Cursors, leases
 //
-// Range scans are server-side cursors: OpOpenCursor registers bounds
-// and a snapshot, OpFetch returns one batch. Between fetches the server
-// holds NO DB resource — a fetch opens a fresh DB cursor positioned by
-// the saved resume key (ScanOptions.After forward, a shrunken high
-// bound in reverse), drains one batch, and abandons it, which by the
-// engine's cursor contract leaks nothing and can never block a writer.
-// The only cross-fetch state is a struct in the cursor table, and a
-// lease reclaims it: every fetch renews the lease, a janitor reaps
-// cursors whose lease expired, and a session's close reaps its cursors.
+// Every served scan is a query cursor: OpOpenQuery ships a query.Spec
+// (a plain range scan is query.Scan), the server compiles it at the
+// session snapshot inside the tenant namespace and registers the live
+// operator pipeline, and OpQueryFetch drains one row batch. Between
+// fetches the pipeline holds NO latch — by the engine's cursor contract
+// an idle operator's paused cursors hold nothing, so it can never block
+// a writer. A batch never outgrows the frame limit: a row that would
+// overflow it is carried to the next fetch. The pipeline's heap is the
+// only cross-fetch state, and a lease reclaims it: every fetch renews
+// the lease, a janitor reaps cursors whose lease expired, and a
+// session's close reaps its cursors.
 //
 // # Admission control, drain
 //
@@ -178,15 +180,14 @@ type Server struct {
 }
 
 // opClassNames names each op byte for metrics labels and StatsReply,
-// indexed by wire op code (0 is unused).
+// indexed by wire op code (0 and the retired op bytes are unnamed and
+// count as "other").
 var opClassNames = [wire.OpQueryFetch + 1]string{
 	wire.OpHello:       "hello",
 	wire.OpPut:         "put",
 	wire.OpGet:         "get",
 	wire.OpDelete:      "delete",
 	wire.OpCommit:      "commit",
-	wire.OpOpenCursor:  "open_cursor",
-	wire.OpFetch:       "fetch",
 	wire.OpCloseCursor: "close_cursor",
 	wire.OpRefresh:     "refresh",
 	wire.OpStats:       "stats",
@@ -202,7 +203,7 @@ func (s *Server) opHistFor(payload []byte) *obs.Histogram {
 		return &s.badHist
 	}
 	op := payload[0]
-	if op >= wire.OpHello && op <= wire.OpQueryFetch {
+	if op <= wire.OpQueryFetch && opClassNames[op] != "" {
 		return &s.opHists[op]
 	}
 	return &s.badHist
@@ -230,9 +231,12 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 	})
 	r.RegisterHistogram("tsb_server_op_seconds", "request execution latency",
 		&s.allHist, obs.Label{Key: "op", Value: "all"})
-	for op := int(wire.OpHello); op <= int(wire.OpQueryFetch); op++ {
+	for op, name := range opClassNames {
+		if name == "" {
+			continue
+		}
 		r.RegisterHistogram("tsb_server_op_seconds", "request execution latency",
-			&s.opHists[op], obs.Label{Key: "op", Value: opClassNames[op]})
+			&s.opHists[op], obs.Label{Key: "op", Value: name})
 	}
 	r.RegisterHistogram("tsb_server_op_seconds", "request execution latency",
 		&s.badHist, obs.Label{Key: "op", Value: "other"})
@@ -379,8 +383,10 @@ func (s *Server) Stats() Stats {
 		P99Micros:        s.allHist.Percentile(0.99),
 		Draining:         draining,
 	}
-	for op := int(wire.OpHello); op <= int(wire.OpQueryFetch); op++ {
-		st.PerOp = appendOpClass(st.PerOp, opClassNames[op], &s.opHists[op])
+	for op, name := range opClassNames {
+		if name != "" {
+			st.PerOp = appendOpClass(st.PerOp, name, &s.opHists[op])
+		}
 	}
 	st.PerOp = appendOpClass(st.PerOp, "other", &s.badHist)
 	return st

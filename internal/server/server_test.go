@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/query"
 	"repro/internal/record"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -198,16 +199,16 @@ func TestServerTenantIsolation(t *testing.T) {
 	}
 
 	// A full-range scan of tenant a never leaks b's keys.
-	sc, err := a.Scan(nil, record.InfiniteBound(), client.ScanOptions{})
+	sc, err := a.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := sc.Collect()
+	rows, err := sc.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != 1 || !bytes.Equal(vs[0].Value, []byte("from-a")) {
-		t.Fatalf("tenant a scan = %d versions %v", len(vs), vs)
+	if len(rows) != 1 || !bytes.Equal(rows[0].Versions[0].Value, []byte("from-a")) {
+		t.Fatalf("tenant a scan = %d rows %v", len(rows), rows)
 	}
 }
 
@@ -225,13 +226,13 @@ func TestServerCursorPagination(t *testing.T) {
 	}
 
 	// Tiny batches force many fetch round-trips over one cursor.
-	sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{BatchSize: 7})
+	sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{BatchSize: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for sc.Next() {
-		got = append(got, string(sc.Version().Key))
+		got = append(got, string(sc.Row().Key))
 	}
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
@@ -246,21 +247,22 @@ func TestServerCursorPagination(t *testing.T) {
 	}
 
 	// Reverse with a limit, over a sub-range.
-	sc, err = c.Scan(record.Key("k010"), record.KeyBound(record.Key("k020")),
-		client.ScanOptions{Reverse: true, Limit: 5, BatchSize: 2})
+	rev := query.Scan(record.Key("k010"), record.KeyBound(record.Key("k020")))
+	rev.Reverse = true
+	sc, err = c.QueryScan(rev.WithLimit(5), client.QueryOptions{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := sc.Collect()
+	rows, err := sc.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vs) != 5 {
-		t.Fatalf("reverse limited scan yielded %d, want 5", len(vs))
+	if len(rows) != 5 {
+		t.Fatalf("reverse limited scan yielded %d, want 5", len(rows))
 	}
-	for i, v := range vs {
-		if want := fmt.Sprintf("k%03d", 19-i); string(v.Key) != want {
-			t.Fatalf("reverse key %d = %q, want %q", i, v.Key, want)
+	for i, r := range rows {
+		if want := fmt.Sprintf("k%03d", 19-i); string(r.Key) != want {
+			t.Fatalf("reverse key %d = %q, want %q", i, r.Key, want)
 		}
 	}
 }
@@ -280,7 +282,7 @@ func TestServerCursorHoldsNoLatch(t *testing.T) {
 	if _, err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{BatchSize: 3})
+	sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestServerCursorHoldsNoLatch(t *testing.T) {
 	// is invisible).
 	count := 1
 	for sc.Next() {
-		if string(sc.Version().Key) == "unrelated" {
+		if string(sc.Row().Key) == "unrelated" {
 			t.Fatal("pinned scan observed a post-open commit")
 		}
 		count++
@@ -340,7 +342,7 @@ func TestServerCursorLeaseExpiry(t *testing.T) {
 	if _, err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := c.Scan(nil, record.InfiniteBound(), client.ScanOptions{BatchSize: 2})
+	sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +441,123 @@ func TestServerMaxFrameEnforced(t *testing.T) {
 	}
 	if _, err := c.Ping(); err == nil {
 		t.Fatal("connection survived a framing violation")
+	}
+}
+
+// TestServerFetchRespectsMaxFrame pins the fetch batch to the frame
+// limit: a batch stops before the row that would overflow the frame and
+// carries it to the next fetch, and a row too large for any frame fails
+// its cursor with a typed error while the connection stays usable.
+func TestServerFetchRespectsMaxFrame(t *testing.T) {
+	const maxFrame = 4096
+	// Values up to a whole frame: the row cap comes from the frame.
+	h := start(t, db.Config{PageSize: 4 * maxFrame, MaxValueSize: maxFrame}, server.Config{MaxFrameBytes: maxFrame})
+	c := h.dial(t, client.Options{Tenant: []byte("mf"), MaxFrameBytes: maxFrame})
+	for i := 0; i < 10; i++ {
+		if _, err := c.Put(record.Key(fmt.Sprintf("k%02d", i)), bytes.Repeat([]byte{byte('a' + i)}, 500)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := c.QueryScan(query.Scan(nil, record.InfiniteBound()), client.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sc.Collect()
+	if err != nil {
+		t.Fatalf("scan over a %d-byte frame limit: %v", maxFrame, err)
+	}
+	if len(rows) != 10 {
+		t.Fatalf("scan yielded %d rows, want 10", len(rows))
+	}
+	for i, r := range rows {
+		if want := fmt.Sprintf("k%02d", i); string(r.Key) != want || len(r.Versions[0].Value) != 500 {
+			t.Fatalf("row %d = %q (%d-byte value), want %q", i, r.Key, len(r.Versions[0].Value), want)
+		}
+	}
+
+	// A value that fits a put frame but whose row (key, flags, version)
+	// cannot fit even an empty fetch frame.
+	if _, err := c.Put(record.Key("big"), make([]byte, maxFrame-16)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err = c.QueryScan(query.Scan(record.Key("big"), record.KeyBound(record.Key("bih"))), client.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sc.Collect()
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+		t.Fatalf("oversized row error = %v, want typed bad request", err)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("connection died after an oversized row: %v", err)
+	}
+	if st := h.srv.Stats(); st.Cursors != 0 {
+		t.Fatalf("failed cursor left open: %d cursors", st.Cursors)
+	}
+}
+
+// rawSession dials the server without the client library and completes
+// a hello at protocol version, returning the connection and the hello
+// response error (nil when the session opened).
+func rawSession(t *testing.T, addr string, version uint64) (net.Conn, error) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nc.Close() })
+	return nc, rawCall(t, nc, wire.AppendHello(nil, wire.Hello{Version: version}))
+}
+
+// rawCall sends one request frame and decodes its response.
+func rawCall(t *testing.T, nc net.Conn, req []byte) error {
+	t.Helper()
+	if _, err := nc.Write(record.AppendFrame(nil, req)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := record.ReadFrame(nc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wire.DecodeResponse(payload)
+	return err
+}
+
+// TestServerRetiredOpsRejected pins wire compatibility: a client of
+// protocol version 1 fails at hello, and the op bytes that version's
+// range cursor used stay reserved — they draw "unknown op" without
+// shifting the bytes of the ops after them.
+func TestServerRetiredOpsRejected(t *testing.T) {
+	h := start(t, db.Config{}, server.Config{})
+	_, err := rawSession(t, h.addr, 1)
+	var we *wire.Error
+	if !errors.As(err, &we) || we.Code != wire.CodeBadRequest || we.Msg != "unsupported protocol version" {
+		t.Fatalf("version-1 hello = %v, want unsupported protocol version", err)
+	}
+
+	if wire.OpCloseCursor != 8 || wire.OpQueryFetch != 13 {
+		t.Fatalf("op bytes moved: close-cursor %d, query-fetch %d", wire.OpCloseCursor, wire.OpQueryFetch)
+	}
+	nc, err := rawSession(t, h.addr, wire.ProtocolVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []byte{6, 7} {
+		err := rawCall(t, nc, []byte{op, 0, 0})
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest || we.Msg != "unknown op" {
+			t.Fatalf("retired op %d = %v, want unknown op", op, err)
+		}
+	}
+	// The session survives the refusals.
+	if err := rawCall(t, nc, []byte{wire.OpPing}); err != nil {
+		t.Fatalf("ping after retired ops: %v", err)
 	}
 }
 

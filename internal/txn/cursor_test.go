@@ -103,7 +103,7 @@ func TestCursorSnapshotIsolationAcrossNext(t *testing.T) {
 }
 
 func TestCursorWindowMatchesScanRange(t *testing.T) {
-	m, _ := newManager(t)
+	m, tree := newManager(t)
 	seedKeys(t, m, 10)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 10; i += 2 {
@@ -115,7 +115,9 @@ func TestCursorWindowMatchesScanRange(t *testing.T) {
 			}
 		}
 	}
-	want, err := m.ScanRange(nil, record.InfiniteBound(), 5, 20)
+	// The recursive core.Tree.ScanRange is the reference the paged
+	// window cursor is checked against.
+	want, err := tree.ScanRange(nil, record.InfiniteBound(), 5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +131,19 @@ func TestCursorWindowMatchesScanRange(t *testing.T) {
 	for i := range want {
 		if !got[i].Key.Equal(want[i].Key) || got[i].Time != want[i].Time {
 			t.Fatalf("window cursor[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	// The reverse window cursor streams the same versions backwards.
+	rev, err := m.ReadOnly().Cursor(nil, record.InfiniteBound(), ScanOptions{From: 5, To: 20, Reverse: true}).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rev) != len(want) {
+		t.Fatalf("reverse window cursor = %d versions, ScanRange %d", len(rev), len(want))
+	}
+	for i := range want {
+		if w := want[len(want)-1-i]; !rev[i].Key.Equal(w.Key) || rev[i].Time != w.Time {
+			t.Fatalf("reverse window cursor[%d] = %v, want %v", i, rev[i], w)
 		}
 	}
 	// Empty window, like ScanRange.

@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -59,58 +58,21 @@ func (l *LatchedStore) GetAsOf(k record.Key, at record.Timestamp) (record.Versio
 	return l.s.GetAsOf(k, at)
 }
 
-func (l *LatchedStore) ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.ScanAsOf(at, low, high)
-}
-
-func (l *LatchedStore) History(k record.Key) ([]record.Version, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.History(k)
-}
-
-func (l *LatchedStore) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.s.ScanRange(low, high, from, to)
-}
-
-// ScanPageAsOf streams one leaf page under a short shared latch, held
+// ScanPageAsOf serves one snapshot page under a short shared latch, held
 // only for the duration of this call: the single-shard form of the
 // incremental latch hand-off the db layer's shard router performs.
-// When the wrapped store cannot stream, the page is the whole
-// materialized scan (with More=false).
 func (l *LatchedStore) ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if cs, ok := l.s.(CursorStore); ok {
-		return cs.ScanPageAsOf(at, low, high, reverse)
-	}
-	vs, err := l.s.ScanAsOf(at, low, high)
-	if err != nil {
-		return core.Page{}, err
-	}
-	if reverse {
-		slices.Reverse(vs)
-	}
-	return core.Page{Versions: vs}, nil
+	return l.s.ScanPageAsOf(at, low, high, reverse)
 }
 
-// Diff forwards to the wrapped store when it supports time-travel diffs.
-func (l *LatchedStore) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	differ, ok := l.s.(Differ)
-	if !ok {
-		return nil, errNoDiff(l.s)
-	}
+// ScanRangePage serves one temporal-window page under a short shared
+// latch, like ScanPageAsOf.
+func (l *LatchedStore) ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp, reverse bool) (core.Page, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return differ.Diff(low, high, from, to)
+	return l.s.ScanRangePage(low, high, from, to, reverse)
 }
 
-var (
-	_ Store       = (*LatchedStore)(nil)
-	_ Differ      = (*LatchedStore)(nil)
-	_ CursorStore = (*LatchedStore)(nil)
-)
+var _ Store = (*LatchedStore)(nil)

@@ -60,8 +60,8 @@
 // holds no latch between Next calls — each Next latches at most one
 // shard for one leaf-page read — and stays consistent across the latch
 // hand-offs because the versions visible at its snapshot timestamp are
-// immutable. The slice-returning Scan and ScanRange survive as thin
-// Collect wrappers over the cursor.
+// immutable. The slice-returning ReadTxn.Scan is a thin Collect wrapper
+// over the cursor; the Store offers no materializing scan at all.
 package txn
 
 import (
@@ -87,9 +87,14 @@ type Store interface {
 	GetPending(k record.Key, txnID uint64) (record.Version, bool, error)
 	Get(k record.Key) (record.Version, bool, error)
 	GetAsOf(k record.Key, at record.Timestamp) (record.Version, bool, error)
-	ScanAsOf(at record.Timestamp, low record.Key, high record.Bound) ([]record.Version, error)
-	History(k record.Key) ([]record.Version, error)
-	ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error)
+
+	// ScanPageAsOf and ScanRangePage are the only scan primitives: one
+	// latch-scoped page of the snapshot of [low, high) at time at, or of
+	// the versions valid at any moment in [from, to), in either
+	// direction, with the core.Page resume contract. Every cursor, and
+	// through cursors every query, is a sequence of these calls.
+	ScanPageAsOf(at record.Timestamp, low record.Key, high record.Bound, reverse bool) (core.Page, error)
+	ScanRangePage(low record.Key, high record.Bound, from, to record.Timestamp, reverse bool) (core.Page, error)
 }
 
 // Errors returned by the transaction layer.
@@ -697,39 +702,6 @@ func (m *Manager) ReadOnly() *ReadTxn {
 func (m *Manager) ReadAt(at record.Timestamp) *ReadTxn {
 	m.readers.Add(1)
 	return &ReadTxn{m: m, at: at}
-}
-
-// History returns the full committed version history of key k.
-func (m *Manager) History(k record.Key) ([]record.Version, error) {
-	return m.store.History(k)
-}
-
-// ScanRange returns the versions of keys in [low, high) valid at any
-// moment in the time window [from, to): the general temporal range
-// query, as a thin Collect wrapper over the streaming cursor.
-func (m *Manager) ScanRange(low record.Key, high record.Bound, from, to record.Timestamp) ([]record.Version, error) {
-	if to <= from {
-		return nil, nil
-	}
-	return newCursor(m.store, m.Now(), low, high, ScanOptions{From: from, To: to}).Collect()
-}
-
-// Differ is implemented by stores that support time-travel diffs
-// (*core.Tree and the db layer's shard router do).
-type Differ interface {
-	Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error)
-}
-
-func errNoDiff(s any) error { return fmt.Errorf("txn: store %T does not support Diff", s) }
-
-// Diff reports the keys whose visible state differs between two times.
-// It fails if the underlying store does not support diffs.
-func (m *Manager) Diff(low record.Key, high record.Bound, from, to record.Timestamp) ([]core.Change, error) {
-	differ, ok := m.store.(Differ)
-	if !ok {
-		return nil, errNoDiff(m.store)
-	}
-	return differ.Diff(low, high, from, to)
 }
 
 // Timestamp returns the reader's snapshot time.
