@@ -176,7 +176,7 @@ func BenchmarkE9ReadOnly(b *testing.B) {
 // --- Sharded-engine scaling benchmarks (b.RunParallel) ---
 
 // benchShardedDB opens a sharded database preloaded with spread keys.
-func benchShardedDB(b *testing.B, shards, preloadKeys int) *db.DB {
+func benchShardedDB(b testing.TB, shards, preloadKeys int) *db.DB {
 	b.Helper()
 	d, err := db.Open(db.Config{Shards: shards})
 	if err != nil {
@@ -393,7 +393,7 @@ func BenchmarkShardedSnapshotScanParallel(b *testing.B) {
 
 // --- Micro-benchmarks of the core TSB-tree operations ---
 
-func benchTree(b *testing.B, policy core.Policy, preload int, u float64) *core.Tree {
+func benchTree(b testing.TB, policy core.Policy, preload int, u float64) *core.Tree {
 	b.Helper()
 	mag := storage.NewMagneticDisk(4096, storage.CostModel{})
 	worm := storage.NewWORMDisk(storage.WORMConfig{SectorSize: 1024})

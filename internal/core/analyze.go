@@ -90,7 +90,7 @@ func (t *Tree) Analyze() (Analysis, error) {
 			lvl = height - 1
 		}
 		ls := &levels[lvl]
-		size := t.size(n)
+		size := n.size()
 		if addr.IsWORM() {
 			ls.HistoricalNodes++
 			ls.HistoricalBytes += size

@@ -320,8 +320,15 @@ func TestCommitStampsPendingVersion(t *testing.T) {
 	}); err == nil {
 		t.Fatal("conflicting pending write should fail")
 	}
-	if err := tree.CommitKey(record.StringKey("k"), 7, 9); err != nil {
+	p, err := tree.CommitKey(record.StringKey("k"), 7, 9)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !p.OldOK || string(p.Old.Value) != "committed" || p.Old.Time != 5 {
+		t.Errorf("posted old = %v, %v; want the version committed at 5", p.Old, p.OldOK)
+	}
+	if string(p.New.Value) != "newer" || p.New.Time != 9 || p.New.TxnID != 7 {
+		t.Errorf("posted new = %v", p.New)
 	}
 	v, ok, _ := tree.Get(record.StringKey("k"))
 	if !ok || string(v.Value) != "newer" || v.Time != 9 {
@@ -332,11 +339,31 @@ func TestCommitStampsPendingVersion(t *testing.T) {
 	}
 	checkOK(t, tree)
 	// Committing again fails (no pending version left).
-	if err := tree.CommitKey(record.StringKey("k"), 7, 10); err == nil {
+	if _, err := tree.CommitKey(record.StringKey("k"), 7, 10); err == nil {
 		t.Error("double commit should fail")
 	}
 	if err := tree.AbortKey(record.StringKey("k"), 7); err == nil {
 		t.Error("abort of committed version should fail")
+	}
+	// A committed delete is the stamped version; as the prior version of
+	// the next commit it counts as absent, as Get sees it.
+	for _, w := range []struct {
+		txn  uint64
+		at   record.Timestamp
+		tomb bool
+	}{{8, 11, true}, {9, 12, false}} {
+		if err := tree.Insert(record.Version{
+			Key: record.StringKey("k"), Time: record.TimePending, TxnID: w.txn, Tombstone: w.tomb,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		p, err := tree.CommitKey(record.StringKey("k"), w.txn, w.at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.New.Tombstone != w.tomb || p.New.Time != w.at || p.OldOK != w.tomb {
+			t.Errorf("commit at %v: posted %+v", w.at, p)
+		}
 	}
 }
 

@@ -114,12 +114,12 @@ func TestCommitAbortReportFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty.FailAfter("write", 1)
-	if err := tree.CommitKey(record.StringKey("k"), 5, 3); !errors.Is(err, storage.ErrInjected) {
+	if _, err := tree.CommitKey(record.StringKey("k"), 5, 3); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("CommitKey with failing write = %v", err)
 	}
 	faulty.Clear()
 	// The version is still pending; commit succeeds after recovery.
-	if err := tree.CommitKey(record.StringKey("k"), 5, 3); err != nil {
+	if _, err := tree.CommitKey(record.StringKey("k"), 5, 3); err != nil {
 		t.Fatalf("CommitKey after recovery: %v", err)
 	}
 	if v, ok, _ := tree.Get(record.StringKey("k")); !ok || string(v.Value) != "draft" {

@@ -28,19 +28,22 @@ func (t *Tree) Insert(v record.Version) error {
 	vSize := v.EncodedSize()
 
 	// Make sure the root itself has room for the insertion or for the
-	// postings of a child split.
+	// postings of a child split. The root read last is where the descent
+	// starts.
+	var n *node
 	for {
 		root, err := t.readNode(t.root)
 		if err != nil {
 			return err
 		}
+		n = root
 		var limit, need int
 		if root.leaf {
 			limit, need = t.cfg.LeafCapacity, vSize+4
 		} else {
 			limit, need = t.cfg.IndexCapacity, 3*t.entryCap
 		}
-		if t.size(root)+need <= limit {
+		if root.size()+need <= limit {
 			break
 		}
 		if root.leaf && t.deferSplits && t.deferSplit(root, false, v) {
@@ -58,10 +61,6 @@ func (t *Tree) Insert(v record.Version) error {
 		}
 	}
 
-	n, err := t.readNode(t.root)
-	if err != nil {
-		return err
-	}
 	for !n.leaf {
 		idx := findCurrentEntry(n, v.Key)
 		if idx < 0 {
@@ -74,10 +73,10 @@ func (t *Tree) Insert(v record.Version) error {
 		forced := child.leaf && t.marked[child.addr.Off] && hasCommitted(child)
 		needSplit := forced
 		if child.leaf {
-			if t.size(child)+vSize+4 > t.cfg.LeafCapacity {
+			if child.size()+vSize+4 > t.cfg.LeafCapacity {
 				needSplit = true
 			}
-		} else if t.size(child)+3*t.entryCap > t.cfg.IndexCapacity {
+		} else if child.size()+3*t.entryCap > t.cfg.IndexCapacity {
 			needSplit = true
 		}
 		if needSplit && child.leaf && t.deferSplits && t.deferSplit(child, forced, v) {
@@ -172,33 +171,52 @@ func (t *Tree) currentLeaf(k record.Key) (*node, error) {
 	return n, nil
 }
 
+// Posted is what CommitKey read from the current leaf it stamped: the
+// key's prior committed version and the version just committed.
+type Posted struct {
+	// Old is the latest committed version before the stamp, as Get
+	// would have returned it: OldOK is false when there is none or it
+	// is a tombstone. Clause 3 of the Time-Split Rule keeps the version
+	// alive now in the current leaf, so the leaf being stamped holds it.
+	Old   record.Version
+	OldOK bool
+	// New is the stamped version, tombstones included.
+	New record.Version
+}
+
 // CommitKey stamps the pending version of key k written by transaction
 // txnID with its commit time. Records of uncommitted transactions have no
-// timestamps; the commit time is posted when the transaction commits (§4).
-func (t *Tree) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error {
+// timestamps; the commit time is posted when the transaction commits (§4),
+// in the current leaf that already holds them — one visit, which also
+// yields the key's prior committed version.
+func (t *Tree) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) (Posted, error) {
 	if !commitTime.IsCommitted() {
-		return fmt.Errorf("core: invalid commit time %s", commitTime)
+		return Posted{}, fmt.Errorf("core: invalid commit time %s", commitTime)
 	}
 	if commitTime < t.now {
-		return fmt.Errorf("core: commit time %s before current time %s", commitTime, t.now)
+		return Posted{}, fmt.Errorf("core: commit time %s before current time %s", commitTime, t.now)
 	}
 	n, err := t.currentLeaf(k)
 	if err != nil {
-		return err
+		return Posted{}, err
 	}
 	for i, v := range n.versions {
 		if v.IsPending() && v.Key.Equal(k) && v.TxnID == txnID {
+			var p Posted
+			p.Old, p.OldOK = latestAtOrBefore(n, k, record.TimeInfinity)
+			p.OldOK = p.OldOK && !p.Old.Tombstone
 			n.versions[i].Time = commitTime
+			p.New = n.versions[i]
 			sortVersions(n.versions)
 			if err := t.writeCurrent(n); err != nil {
-				return err
+				return Posted{}, err
 			}
 			t.now = commitTime
 			t.stats.Restamps++
-			return nil
+			return p, nil
 		}
 	}
-	return fmt.Errorf("%w: key %s, transaction %d", ErrNoPending, k, txnID)
+	return Posted{}, fmt.Errorf("%w: key %s, transaction %d", ErrNoPending, k, txnID)
 }
 
 // AbortKey erases the pending version of key k written by transaction

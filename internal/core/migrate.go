@@ -153,7 +153,7 @@ func (t *Tree) SplitLatchNanos() uint64 { return t.splitNanos }
 // clock, so this fallback only triggers for direct committed inserts at
 // the SplitAtNow policy.
 func (t *Tree) deferSplit(child *node, forced bool, v record.Version) bool {
-	if t.size(child)+v.EncodedSize()+4 > t.mag.PageSize() {
+	if child.size()+v.EncodedSize()+4 > t.mag.PageSize() {
 		return false
 	}
 	if _, queued := t.pending[child.addr.Off]; queued {
@@ -183,7 +183,7 @@ func (t *Tree) deferSplit(child *node, forced bool, v record.Version) bool {
 	}
 	_, curRect := child.rect.SplitAtTime(T)
 	curNode := &node{rect: curRect, leaf: true, versions: cur}
-	if t.size(curNode)+v.EncodedSize()+4+t.versionSlack() > t.cfg.LeafCapacity {
+	if curNode.size()+v.EncodedSize()+4+t.versionSlack() > t.cfg.LeafCapacity {
 		return false
 	}
 	t.pending[child.addr.Off] = &pendingMark{T: T, forced: forced}
@@ -207,7 +207,7 @@ func (t *Tree) deferSplit(child *node, forced bool, v record.Version) bool {
 // node's content — and therefore the captured historical half — is
 // exactly what an inline split at mark time would have produced.
 func (t *Tree) deferIndexSplit(n *node, v record.Version) bool {
-	if t.size(n)+3*t.entryCap > t.mag.PageSize() {
+	if n.size()+3*t.entryCap > t.mag.PageSize() {
 		return false // no physical headroom for postings from below
 	}
 	if _, queued := t.pending[n.addr.Off]; queued {
@@ -263,10 +263,10 @@ func (t *Tree) subtreeQuiet(n *node, v record.Version) (bool, error) {
 			if t.marked[child.addr.Off] && hasCommitted(child) {
 				return false, nil
 			}
-			if t.size(child)+vSize+4 > t.cfg.LeafCapacity {
+			if child.size()+vSize+4 > t.cfg.LeafCapacity {
 				return false, nil
 			}
-		} else if t.size(child)+3*t.entryCap > t.cfg.IndexCapacity {
+		} else if child.size()+3*t.entryCap > t.cfg.IndexCapacity {
 			return false, nil
 		}
 		n = child
@@ -404,7 +404,7 @@ func (t *Tree) applyDirected(k record.Key, page uint64) error {
 			// would have.
 			return t.splitRoot()
 		}
-		if t.size(root)+3*t.entryCap <= t.cfg.IndexCapacity {
+		if root.size()+3*t.entryCap <= t.cfg.IndexCapacity {
 			break
 		}
 		if err := t.splitRoot(); err != nil {
@@ -437,7 +437,7 @@ func (t *Tree) applyDirected(k record.Key, page uint64) error {
 		}
 		// Make room in the index child before descending, mirroring
 		// Insert: a split's postings must always fit the parent.
-		if t.size(child)+3*t.entryCap > t.cfg.IndexCapacity {
+		if child.size()+3*t.entryCap > t.cfg.IndexCapacity {
 			if err := t.splitChild(n, idx, false); err != nil {
 				return err
 			}

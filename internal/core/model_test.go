@@ -95,7 +95,7 @@ func runModelWorkload(t *testing.T, p Policy, seed int64, ops, nKeys int) {
 				continue
 			}
 			ts++
-			if err := tree.CommitKey(pw.v.Key, pw.v.TxnID, record.Timestamp(ts)); err != nil {
+			if _, err := tree.CommitKey(pw.v.Key, pw.v.TxnID, record.Timestamp(ts)); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
 			committed := pw.v

@@ -43,9 +43,29 @@ const (
 	nodeKindIndex = 1
 )
 
-// encodeNode serializes a node body.
+// size returns the encoded length of the node — what len(encodeNode(n))
+// would be — computed from the record package's size rules without
+// building the bytes.
+func (n *node) size() int {
+	sz := 1 + n.rect.EncodedSize()
+	if n.leaf {
+		sz += record.UvarintSize(uint64(len(n.versions)))
+		for _, v := range n.versions {
+			sz += v.EncodedSize()
+		}
+		return sz
+	}
+	sz += record.UvarintSize(uint64(len(n.entries)))
+	for _, en := range n.entries {
+		sz += en.rect.EncodedSize() + 1 +
+			record.UvarintSize(en.child.Off) + record.UvarintSize(uint64(en.child.Len))
+	}
+	return sz
+}
+
+// encodeNode serializes a node body into a buffer of exactly its size.
 func encodeNode(n *node) []byte {
-	e := record.NewEncoder(nil)
+	e := record.NewEncoder(make([]byte, 0, n.size()))
 	if n.leaf {
 		e.Byte(nodeKindLeaf)
 	} else {
@@ -69,9 +89,19 @@ func encodeNode(n *node) []byte {
 	return e.Bytes()
 }
 
-// decodeNode parses a node body.
+// minEntrySize is the smallest encoding of an index entry: an empty low
+// key, an infinite bound, two times, the child's kind, offset and length.
+// decodeNode presizes by count/min (record.MinVersionSize for a leaf),
+// which caps the allocation a crafted count can cause at a constant
+// multiple of the page's length.
+const minEntrySize = 7
+
+// decodeNode parses a node body. data must belong to the caller (every
+// storage.PageStore.Read and storage.WORMDevice.ReadAt returns a fresh
+// buffer): keys and values point into it rather than being copied, so a
+// version the caller keeps pins its page buffer.
 func decodeNode(data []byte, addr storage.Addr) (*node, error) {
-	d := record.NewDecoder(data)
+	d := record.NewDecoderInPlace(data)
 	kind := d.Byte()
 	if d.Err() == nil && kind != nodeKindLeaf && kind != nodeKindIndex {
 		return nil, fmt.Errorf("core: node %s: %w: node kind %d", addr, record.ErrCorrupt, kind)
@@ -79,10 +109,14 @@ func decodeNode(data []byte, addr storage.Addr) (*node, error) {
 	n := &node{addr: addr, leaf: kind == nodeKindLeaf}
 	n.rect = d.Rect()
 	count := d.Uvarint()
-	for i := uint64(0); i < count && d.Err() == nil; i++ {
-		if n.leaf {
+	if n.leaf {
+		n.versions = make([]record.Version, 0, min(count, uint64(d.Remaining()/record.MinVersionSize)))
+		for i := uint64(0); i < count && d.Err() == nil; i++ {
 			n.versions = append(n.versions, d.Version())
-		} else {
+		}
+	} else {
+		n.entries = make([]entry, 0, min(count, uint64(d.Remaining()/minEntrySize)))
+		for i := uint64(0); i < count && d.Err() == nil; i++ {
 			var en entry
 			en.rect = d.Rect()
 			en.child.Kind = storage.DeviceKind(d.Byte())
@@ -162,9 +196,6 @@ func (t *Tree) migrate(n *node) (storage.Addr, error) {
 	t.stats.BytesMigrated += uint64(len(data))
 	return addr, nil
 }
-
-// size returns the encoded size of the node.
-func (t *Tree) size(n *node) int { return len(encodeNode(n)) }
 
 // sortVersions restores the canonical (key, time) order, pending last
 // within each key.

@@ -293,7 +293,7 @@ func (t *Tree) timeSplitLeafWith(n *node, T record.Timestamp, burned *burnedNode
 	entries := []entry{{rect: histRect, child: histAddr}}
 
 	// If redundancy kept the current node overfull, key split it too.
-	if t.size(n)+t.versionSlack() > t.cfg.LeafCapacity {
+	if n.size()+t.versionSlack() > t.cfg.LeafCapacity {
 		if _, _, dk, _ := currentVersionStats(n); dk >= 2 {
 			more, err := t.keySplitLeaf(n)
 			if err != nil {
@@ -353,7 +353,7 @@ func (t *Tree) keySplitLeaf(n *node) ([]entry, error) {
 		if en.child == rightNode.addr {
 			nd = rightNode
 		}
-		if t.size(nd)+t.versionSlack() > t.cfg.LeafCapacity {
+		if nd.size()+t.versionSlack() > t.cfg.LeafCapacity {
 			if _, _, dk, _ := currentVersionStats(nd); dk >= 2 {
 				more, err := t.keySplitLeaf(nd)
 				if err != nil {

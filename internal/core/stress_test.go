@@ -164,7 +164,7 @@ func TestManyPendingTransactions(t *testing.T) {
 			t.Fatalf("pending %d lost: %v %v", i, ok, err)
 		}
 		if i%2 == 0 {
-			if err := tree.CommitKey(k, uint64(100+i), tree.Now()+1); err != nil {
+			if _, err := tree.CommitKey(k, uint64(100+i), tree.Now()+1); err != nil {
 				t.Fatalf("commit %d: %v", i, err)
 			}
 		} else if err := tree.AbortKey(k, uint64(100+i)); err != nil {

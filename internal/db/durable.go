@@ -156,15 +156,16 @@ func openDurable(cfg Config) (*DB, error) {
 		d.cpEvery = defaultCheckpointBytes
 	}
 	d.coEvery = cfg.CompactDeadBytes
+	if cfg.BackgroundMigration {
+		// Started only now, after recovery: replayed inserts split
+		// inline (deterministically), and marks are never durable state.
+		// Before the maintenance loop, whose compaction fences d.mig.
+		d.startMigrator()
+	}
 	if d.cpEvery > 0 || d.coEvery > 0 {
 		d.stopCp = make(chan struct{})
 		d.cpDone.Add(1)
 		go d.maintenanceLoop()
-	}
-	if cfg.BackgroundMigration {
-		// Started only now, after recovery: replayed inserts split
-		// inline (deterministically), and marks are never durable state.
-		d.startMigrator()
 	}
 	d.dirLock = lock
 	ok = true

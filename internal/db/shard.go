@@ -131,7 +131,7 @@ func (s *shardedStore) Insert(v record.Version) error {
 	return err
 }
 
-func (s *shardedStore) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error {
+func (s *shardedStore) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) (core.Posted, error) {
 	sh := s.shardFor(k)
 	var start, acquired time.Time
 	timed := sh.sampleLatch()
@@ -142,13 +142,13 @@ func (s *shardedStore) CommitKey(k record.Key, txnID uint64, commitTime record.T
 	if timed {
 		acquired = time.Now()
 	}
-	err := sh.tree.CommitKey(k, txnID, commitTime)
+	p, err := sh.tree.CommitKey(k, txnID, commitTime)
 	sh.mu.Unlock()
 	if timed {
 		sh.waitW.Observe(acquired.Sub(start))
 		sh.holdW.Observe(time.Since(acquired))
 	}
-	return err
+	return p, err
 }
 
 func (s *shardedStore) AbortKey(k record.Key, txnID uint64) error {

@@ -266,12 +266,14 @@ func TestShardRoutingPlacement(t *testing.T) {
 }
 
 // TestLatchSamplingCoversBothModes regression-tests the latch-timing
-// sampler against stride aliasing. A put-only workload ticks the
-// sampler a fixed number of times per operation, so a plain modulo-8
-// stride lands every sample on the same acquisition site — in practice
-// the read latch — leaving the write-latch histograms permanently
-// empty no matter how long the server runs. The hashed sampler must
-// spread samples across both modes.
+// sampler against stride aliasing. Each operation here ticks the
+// sampler a fixed number of times — two write-latch acquisitions (the
+// pending insert and the commit stamp) and two read-latch ones (two
+// point reads of other keys) — so a plain modulo-8 stride, a multiple
+// of that period, lands every sample on the same acquisition site,
+// leaving one mode's histograms permanently empty no matter how long
+// the server runs. The hashed sampler must spread samples across both
+// modes.
 func TestLatchSamplingCoversBothModes(t *testing.T) {
 	d, err := Open(Config{Shards: 4})
 	if err != nil {
@@ -280,6 +282,11 @@ func TestLatchSamplingCoversBothModes(t *testing.T) {
 	defer d.Close()
 	for i := 0; i < 2000; i++ {
 		if err := d.Update(func(tx *txn.Txn) error {
+			for _, other := range []string{"alias%04d-a", "alias%04d-b"} {
+				if _, _, err := tx.Get(record.Key(fmt.Sprintf(other, i))); err != nil {
+					return err
+				}
+			}
 			return tx.Put(record.Key(fmt.Sprintf("alias%04d", i)), []byte("v"))
 		}); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // The codec is a small, allocation-conscious binary encoder/decoder used by
@@ -96,15 +97,57 @@ func (e *Encoder) Versions(vs []Version) {
 	}
 }
 
-// Decoder reads binary fields from a byte slice with a sticky error.
-type Decoder struct {
-	buf []byte
-	off int
-	err error
+// The size rules below mirror the Encoder field by field: each returns
+// exactly the number of bytes the matching Encoder method appends, so a
+// page's encoded length can be computed without building it.
+
+// UvarintSize returns the length of v's unsigned varint encoding.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// MinVersionSize is the smallest encoding of a version: the flags byte
+// and one byte each for an empty key, the time, the txn id and an empty
+// value.
+const MinVersionSize = 5
+
+// blobSize returns what Encoder.Blob appends for a byte string of n
+// bytes.
+func blobSize(n int) int { return UvarintSize(uint64(n)) + n }
+
+// EncodedSize returns the number of bytes Encoder.Rect appends for r.
+func (r Rect) EncodedSize() int {
+	bound := 1 // Encoder.Bound's infinity flag
+	if !r.HighKey.inf {
+		bound += blobSize(len(r.HighKey.key))
+	}
+	return blobSize(len(r.LowKey)) + bound +
+		UvarintSize(uint64(r.Start)) + UvarintSize(uint64(r.End))
 }
 
-// NewDecoder returns a decoder over buf.
+// EncodedSize returns the exact number of bytes the version occupies on a
+// page: what Encoder.Version appends.
+func (v Version) EncodedSize() int {
+	return 1 + blobSize(len(v.Key)) + UvarintSize(uint64(v.Time)) +
+		UvarintSize(v.TxnID) + blobSize(len(v.Value))
+}
+
+// Decoder reads binary fields from a byte slice with a sticky error.
+type Decoder struct {
+	buf     []byte
+	off     int
+	err     error
+	inPlace bool
+}
+
+// NewDecoder returns a decoder over buf whose byte strings are copies.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
+
+// NewDecoderInPlace returns a decoder over buf whose byte strings (Blob,
+// and through it Key, Bound, Rect and Version) are capped subslices of
+// buf rather than copies: one allocation per page instead of one per
+// field. The caller must own buf and never modify it; a decoded value
+// the caller keeps pins the whole of buf. Capping makes an append to a
+// returned slice reallocate instead of writing into its neighbour.
+func NewDecoderInPlace(buf []byte) *Decoder { return &Decoder{buf: buf, inPlace: true} }
 
 // Err returns the first decoding error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
@@ -150,7 +193,8 @@ func (d *Decoder) Byte() byte {
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
 // Blob reads a length-prefixed byte string. The returned slice is a copy,
-// safe to retain after the page buffer is recycled.
+// safe to retain after the page buffer is recycled, unless the decoder
+// was made by NewDecoderInPlace.
 func (d *Decoder) Blob() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -160,9 +204,15 @@ func (d *Decoder) Blob() []byte {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
-	d.off += int(n)
+	end := d.off + int(n)
+	var out []byte
+	if d.inPlace {
+		out = d.buf[d.off:end:end]
+	} else {
+		out = make([]byte, n)
+		copy(out, d.buf[d.off:end])
+	}
+	d.off = end
 	return out
 }
 
@@ -219,12 +269,10 @@ func (d *Decoder) Versions() []Version {
 	if d.err != nil {
 		return nil
 	}
-	// The smallest version (flags, empty key, time, txn id, empty
-	// value) occupies 5 bytes, so a count exceeding Remaining/5 is
-	// corrupt, not merely big — and the pre-allocation below is further
-	// capped so a crafted count can never balloon memory ahead of the
-	// decode failing.
-	if n > uint64(d.Remaining())/5 {
+	// A count exceeding Remaining/MinVersionSize is corrupt, not merely
+	// big — and the pre-allocation below is further capped so a crafted
+	// count can never balloon memory ahead of the decode failing.
+	if n > uint64(d.Remaining())/MinVersionSize {
 		d.fail()
 		return nil
 	}

@@ -328,14 +328,6 @@ func (v Version) Clone() Version {
 	return out
 }
 
-// EncodedSize returns the exact number of bytes the version occupies on a
-// page.
-func (v Version) EncodedSize() int {
-	e := Encoder{}
-	e.Version(v)
-	return e.Len()
-}
-
 // String renders the version for figures and debugging.
 func (v Version) String() string {
 	val := string(v.Value)

@@ -265,6 +265,10 @@ func (d *MagneticDisk) Stats() MagneticStats {
 // implements it directly; buffer.Pool implements it as a caching layer.
 type PageStore interface {
 	Alloc() (uint64, error)
+	// Read returns the contents of page p in a slice that belongs to
+	// the caller: no later read or write aliases it, and the caller may
+	// keep or modify it. The TSB-tree decodes nodes in place on the
+	// strength of this.
 	Read(p uint64) ([]byte, error)
 	Write(p uint64, data []byte) error
 	Free(p uint64) error
@@ -322,6 +326,8 @@ var _ PageDevice = (*MagneticDisk)(nil)
 type WORMDevice interface {
 	SectorSize() int
 	Append(data []byte) (Addr, error)
+	// ReadAt returns the payload of the run at addr in a slice that
+	// belongs to the caller, as PageStore.Read does.
 	ReadAt(addr Addr) ([]byte, error)
 	Stats() WORMStats
 }

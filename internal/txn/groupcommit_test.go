@@ -206,10 +206,10 @@ type divergingStore struct {
 	fired   bool
 }
 
-func (f *divergingStore) CommitKey(k record.Key, txnID uint64, ct record.Timestamp) error {
+func (f *divergingStore) CommitKey(k record.Key, txnID uint64, ct record.Timestamp) (core.Posted, error) {
 	if string(k) == f.failKey && !f.fired {
 		f.fired = true
-		return fmt.Errorf("injected store failure for %s", k)
+		return core.Posted{}, fmt.Errorf("injected store failure for %s", k)
 	}
 	return f.Store.CommitKey(k, txnID, ct)
 }

@@ -28,7 +28,7 @@ func (l *LatchedStore) Insert(v record.Version) error {
 	return l.s.Insert(v)
 }
 
-func (l *LatchedStore) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error {
+func (l *LatchedStore) CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) (core.Posted, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.s.CommitKey(k, txnID, commitTime)

@@ -82,7 +82,10 @@ import (
 // bare *core.Tree does for single-goroutine use.
 type Store interface {
 	Insert(v record.Version) error
-	CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) error
+	// CommitKey stamps a pending version in one visit to its current
+	// leaf and reports the prior committed and the stamped version it
+	// found there (core.Tree.CommitKey).
+	CommitKey(k record.Key, txnID uint64, commitTime record.Timestamp) (core.Posted, error)
 	AbortKey(k record.Key, txnID uint64) error
 	GetPending(k record.Key, txnID uint64) (record.Version, bool, error)
 	Get(k record.Key) (record.Version, bool, error)
@@ -598,28 +601,18 @@ func (m *Manager) postTxn(req *commitReq, ct record.Timestamp) (posted bool, err
 // commit hook. stamped reports whether the version was committed to the
 // store even if the hook then failed. Called under the leadership token.
 func (m *Manager) postKey(k record.Key, txnID uint64, commitTime record.Timestamp) (stamped bool, err error) {
-	var oldV record.Version
-	var oldOK bool
-	if m.hook != nil {
-		oldV, oldOK, err = m.store.Get(k)
-		if err != nil {
-			return false, err
-		}
-	}
-	if err := m.store.CommitKey(k, txnID, commitTime); err != nil {
+	p, err := m.store.CommitKey(k, txnID, commitTime)
+	if err != nil {
 		return false, err
 	}
 	if m.hook != nil {
-		newV, ok, err := m.store.GetAsOf(k, commitTime)
-		if err != nil {
-			return true, err
-		}
-		if !ok {
+		newV := p.New
+		if newV.Tombstone {
 			// The committed version is a tombstone; rebuild it for
 			// the hook.
 			newV = record.Version{Key: k, Time: commitTime, Tombstone: true}
 		}
-		if err := m.callHook(commitTime, oldV, oldOK, newV); err != nil {
+		if err := m.callHook(commitTime, p.Old, p.OldOK, newV); err != nil {
 			return true, err
 		}
 	}

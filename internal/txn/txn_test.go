@@ -310,10 +310,10 @@ type failingStore struct {
 	fired   bool
 }
 
-func (f *failingStore) CommitKey(k record.Key, txnID uint64, ct record.Timestamp) error {
+func (f *failingStore) CommitKey(k record.Key, txnID uint64, ct record.Timestamp) (core.Posted, error) {
 	if string(k) == f.failKey && !f.fired {
 		f.fired = true
-		return fmt.Errorf("injected commit failure for %s", k)
+		return core.Posted{}, fmt.Errorf("injected commit failure for %s", k)
 	}
 	return f.Store.CommitKey(k, txnID, ct)
 }

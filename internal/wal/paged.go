@@ -11,6 +11,7 @@ package wal
 // WAL tail past the boundary LSN.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -70,7 +71,22 @@ type PagedMeta struct {
 	DeadBytes uint64
 }
 
-func encodeDuration(e *record.Encoder, d int64) { e.Uvarint(uint64(d)) }
+// encodeDuration writes d as a uvarint padded to the full
+// binary.MaxVarintLen64 bytes (continuation bits over zero groups).
+// Decoding is the plain Uvarint, which reads the padded and the minimal
+// form alike, so metadata written either way opens with either reader.
+// The padding keeps the meta's length independent of the device time it
+// carries: a file device's SimTime is measured wall time, and a minimal
+// varint of it would make the length of otherwise identical checkpoints
+// vary run to run.
+func encodeDuration(e *record.Encoder, d int64) {
+	v := uint64(d)
+	for i := 1; i < binary.MaxVarintLen64; i++ {
+		e.Byte(byte(v) | 0x80)
+		v >>= 7
+	}
+	e.Byte(byte(v))
+}
 
 func encodeTreeImage(e *record.Encoder, img core.TreeImage) {
 	e.Byte(byte(img.Root.Kind))

@@ -1,8 +1,12 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/pagestore"
@@ -85,5 +89,64 @@ func TestPagedCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Paged, info.Paged) {
 		t.Fatalf("paged meta round trip:\n got %+v\nwant %+v", got.Paged, info.Paged)
+	}
+}
+
+// TestPagedMetaLengthIgnoresDeviceTime: the device accounting's SimTime
+// is measured wall time on file devices, so it must not move the meta's
+// length — crash sweeps measure a checkpoint's byte stream on one run and
+// tear it at those offsets on another.
+func TestPagedMetaLengthIgnoresDeviceTime(t *testing.T) {
+	want := -1
+	for _, d := range []time.Duration{0, 1, 127, 128, time.Millisecond, time.Hour, math.MaxInt64} {
+		m := samplePagedInfo().Paged
+		m.MagStats.SimTime, m.WormStats.SimTime = d, d/3
+		buf := encodePagedMeta(m)
+		if want < 0 {
+			want = len(buf)
+		}
+		if len(buf) != want {
+			t.Fatalf("SimTime %v: meta is %d bytes, want %d", d, len(buf), want)
+		}
+		got, err := decodePagedMeta(record.NewDecoder(buf[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("SimTime %v: round trip:\n got %+v\nwant %+v", d, got, m)
+		}
+	}
+}
+
+// TestPagedCheckpointReadsMinimalDurations reopens a checkpoint as
+// earlier builds wrote it, with the durations as minimal varints rather
+// than padded: the reader is unchanged, so such a directory still opens
+// with the same metadata.
+func TestPagedCheckpointReadsMinimalDurations(t *testing.T) {
+	info := samplePagedInfo()
+	info.Paged.MagStats.SimTime = 3*time.Second + 7
+	info.Paged.WormStats.SimTime = 5 * time.Millisecond
+	meta := encodePagedMeta(info.Paged)
+	for _, d := range []time.Duration{info.Paged.MagStats.SimTime, info.Paged.WormStats.SimTime} {
+		padded := record.NewEncoder(nil)
+		encodeDuration(padded, int64(d))
+		minimal := binary.AppendUvarint(nil, uint64(d))
+		if bytes.Count(meta, padded.Bytes()) != 1 {
+			t.Fatalf("padded duration %v not found once in the meta", d)
+		}
+		meta = bytes.Replace(meta, padded.Bytes(), minimal, 1)
+	}
+	dir := t.TempDir()
+	footer := record.NewEncoder(nil)
+	footer.Byte(frameCheckpointFooter)
+	footer.Uvarint(info.LSN)
+	raw := appendFrame(headerFrame(PagedCheckpointFormatVersion, uint64(info.Shards), info.LSN, info.Secondaries...), meta)
+	installRaw(t, dir, appendFrame(raw, footer.Bytes()))
+	got, found, err := ReadCheckpointInfo(dir)
+	if err != nil || !found {
+		t.Fatalf("read: found=%v err=%v", found, err)
+	}
+	if !reflect.DeepEqual(got.Paged, info.Paged) {
+		t.Fatalf("minimal-duration meta:\n got %+v\nwant %+v", got.Paged, info.Paged)
 	}
 }
